@@ -50,24 +50,28 @@ def enumerate_basis(
     """
     check_domain(species, n_particles, twice_m)
     levels = species.twice_levels
-    d = len(levels)
-    # Suffix magnetization bounds for pruning: with `rem` particles left on
-    # levels[i:], the reachable twice-magnetization is [rem*min, rem*max].
+    last_pair = len(levels) - 2
+    lo = levels[-1]
+    # With `rem` particles left on levels[i:] and `need` twice-magnetization
+    # still to place, a count c on level i leaves rem - c particles whose
+    # reachable twice-magnetization is [(rem - c)*lo, (rem - c)*levels[i+1]].
+    # Adjacent levels differ by 2 and check_domain fixed the parity, so every
+    # c in the resulting [cmin, cmax] completes to at least one vector, and
+    # on the last two levels the count is determined.
     out: list[OccupationVector] = []
 
-    def recurse(i: int, rem: int, acc: int, prefix: tuple[int, ...]) -> None:
-        if i == d - 1:
-            if acc + levels[i] * rem == twice_m:
-                out.append(prefix + (rem,))
+    def recurse(i: int, rem: int, need: int, prefix: tuple[int, ...]) -> None:
+        if i == last_pair:
+            count = (need - rem * lo) // 2
+            out.append(prefix + (count, rem - count))
             return
-        lo, hi = levels[-1], levels[i + 1]
-        for count in range(rem, -1, -1):
-            acc2 = acc + levels[i] * count
-            rem2 = rem - count
-            if acc2 + rem2 * lo <= twice_m <= acc2 + rem2 * hi:
-                recurse(i + 1, rem2, acc2, prefix + (count,))
+        level, hi = levels[i], levels[i + 1]
+        cmax = min(rem, (need - rem * lo) // (level - lo))
+        cmin = max(0, -((rem * hi - need) // 2))
+        for count in range(cmax, cmin - 1, -1):
+            recurse(i + 1, rem - count, need - level * count, prefix + (count,))
 
-    recurse(0, n_particles, 0, ())
+    recurse(0, n_particles, twice_m, ())
     return out
 
 

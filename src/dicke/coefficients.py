@@ -1,31 +1,49 @@
 """Closed-form superposition coefficients of maximal-spin Dicke states.
 
-The amplitude attached to an occupation vector factorizes into the
-square root of the permutation multiplicity N!/prod(n_m!), a per-level
-weight d_m, and an M-dependent normalization prefactor
+The squared amplitude attached to an occupation vector is
+
+    C^2 = P / D,    P = N!/prod(n_m!) * prod_m w_m^{n_m},
+                    D = binomial(2J, J - |M|):
+
+the permutation multiplicity times per-level weights w_m = d_m^2, over the
+square of the M-dependent normalization prefactor
 
     (J - |M|)! * prod_{l=1}^{J-|M|} 1 / sqrt((2J - l + 1) l)
         == 1 / sqrt(binomial(2J, J - |M|)).
 
 The validated weight is d_m = sqrt(binomial(2s, s - m)); with it every
 squared amplitude is an exact rational and each expansion normalizes to 1
-identically (see VALIDATION.md).  Everything is computed with big-integer
-factorials; a single square root at the end is the only floating-point
-step.  A rejected candidate weight is kept selectable as the "alt" variant
-purely to document its failure against the reference tables.
+identically (see VALIDATION.md).
+
+`dicke_expansion` and `exact_coefficient_squares` walk the basis in
+enumeration order and keep P as an exact integer: it is built from
+factorials for the first vector only, and each later P follows from the
+previous one through the falling-factorial and weight ratios of the counts
+that changed.  D is computed once per call.  The one floating-point step is
+the square root of P / D, taken on a scaled integer quotient (`_root`), so
+no square is ever formed in floating point and no amplitude that is a
+normal float underflows.  `coefficient_square` evaluates the same formula
+per vector from factorials and is the independent oracle for the walk.  A
+rejected candidate weight is kept selectable as the "alt" variant purely to
+document its failure against the reference tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, sqrt
+from functools import cached_property
+from math import comb, factorial, ldexp, perm, sqrt
+from typing import Iterator
 
 from .basis import OccupationVector, check_domain, enumerate_basis
 from .species import DomainError, SpinSpecies
 
 #: weight variants accepted by the closed-form engine
 WEIGHT_VARIANTS = ("binomial", "alt")
+
+#: bits of precision kept in the scaled quotient whose square root `_root` takes
+_ROOT_BITS = 120
 
 
 def level_weight(species: SpinSpecies, twice_m: int) -> float:
@@ -36,24 +54,37 @@ def level_weight(species: SpinSpecies, twice_m: int) -> float:
     return sqrt(comb(ts, (ts - twice_m) // 2))
 
 
-def _weight_square(species: SpinSpecies, occ: OccupationVector, variant: str) -> Fraction:
-    """Squared product of level weights over an occupation vector."""
+def _level_weight_squares(
+    species: SpinSpecies, variant: str
+) -> tuple[tuple[int, ...], int]:
+    """Squared level weights w_m as integer numerators over one common
+    denominator, ordered like the occupation vector."""
     ts = species.twice_spin
-    if variant == "binomial":
-        w = 1
-        for count, tm in zip(occ, species.twice_levels):
-            w *= comb(ts, (ts - tm) // 2) ** count
-        return Fraction(w)
-    if variant != "alt":
+    if variant not in WEIGHT_VARIANTS:
         raise ValueError(f"unknown weight variant {variant!r}")
     # Rejected candidates, kept only so table verification can show they
     # fail: 2^{n_0} for spin 1 and (3/2)^{n_3/2} 3^{(n_2+n_3+n_4)/2} for
     # spin 2 (squared here).  Spin 1/2 and 3/2 have no alternative reading.
-    if ts == 2:
-        return Fraction(4) ** occ[1]
-    if ts == 4:
-        return Fraction(3, 2) ** occ[2] * Fraction(3) ** (occ[1] + occ[2] + occ[3])
-    return _weight_square(species, occ, "binomial")
+    if variant == "alt" and ts == 2:
+        return (1, 4, 1), 1
+    if variant == "alt" and ts == 4:
+        return (2, 6, 9, 6, 2), 2
+    return tuple(comb(ts, (ts - tm) // 2) for tm in species.twice_levels), 1
+
+
+def _root(numerator: int, denominator: int) -> float:
+    """sqrt(numerator / denominator) without forming the square in floats.
+
+    The quotient is scaled by an even power 2^s that leaves about
+    _ROOT_BITS significant bits, and a nonzero remainder is kept as a
+    sticky low bit, so the float conversion rounds exactly as the ratio
+    itself would; the root then carries the scale 2^(s/2) back out.  For
+    ratios that are normal floats the result equals sqrt(float(ratio)).
+    """
+    shift = max(0, denominator.bit_length() - numerator.bit_length() + _ROOT_BITS)
+    shift += shift & 1
+    quotient, remainder = divmod(numerator << shift, denominator)
+    return ldexp(sqrt(quotient | (remainder != 0)), -shift // 2)
 
 
 def coefficient_square(
@@ -75,12 +106,13 @@ def coefficient_square(
             f"occupation vector {occ} not in the (N={n_particles}, "
             f"2M={twice_m}) basis for spin {species.name}"
         )
-    multiplicity = factorial(n_particles)
-    for count in occ:
-        multiplicity //= factorial(count)
+    weights, scale = _level_weight_squares(species, variant)
+    numerator = factorial(n_particles)
+    for count, w in zip(occ, weights):
+        numerator = numerator // factorial(count) * w**count
     twice_j = species.twice_spin * n_particles
     norm = comb(twice_j, (twice_j - abs(twice_m)) // 2)
-    return multiplicity * _weight_square(species, occ, variant) / norm
+    return Fraction(numerator, norm * scale**n_particles)
 
 
 def closed_form_coefficient(
@@ -91,7 +123,46 @@ def closed_form_coefficient(
     variant: str = "binomial",
 ) -> float:
     """Closed-form amplitude (positive square root of the exact square)."""
-    return sqrt(coefficient_square(species, n_particles, twice_m, occ, variant))
+    square = coefficient_square(species, n_particles, twice_m, occ, variant)
+    return _root(square.numerator, square.denominator)
+
+
+def _walk(
+    species: SpinSpecies, n_particles: int, twice_m: int, variant: str
+) -> tuple[list[OccupationVector], int, Iterator[int]]:
+    """The basis, the common denominator D, and the numerators P of the
+    exact squares C^2 = P / D in basis order.
+
+    Moving from one vector to the next multiplies P by a!/b! * w^(b - a)
+    for every level whose count changes from a to b; the factors are
+    collected as an integer fraction and divided out exactly, since every
+    P is an integer.
+    """
+    weights, scale = _level_weight_squares(species, variant)
+    basis = enumerate_basis(species, n_particles, twice_m)
+    twice_j = species.twice_spin * n_particles
+    denominator = comb(twice_j, (twice_j - abs(twice_m)) // 2) * scale**n_particles
+
+    def numerators() -> Iterator[int]:
+        prev = basis[0]
+        p = factorial(n_particles)
+        for count, w in zip(prev, weights):
+            p = p // factorial(count) * w**count
+        yield p
+        for occ in basis[1:]:
+            up = down = 1
+            for a, b, w in zip(prev, occ, weights):
+                if b < a:
+                    up *= perm(a, a - b)
+                    down *= w ** (a - b)
+                elif b > a:
+                    up *= w ** (b - a)
+                    down *= perm(b, b - a)
+            p = p * up // down
+            prev = occ
+            yield p
+
+    return basis, denominator, numerators()
 
 
 @dataclass(frozen=True)
@@ -111,8 +182,12 @@ class DickeExpansion:
     def as_dict(self) -> dict[OccupationVector, float]:
         return dict(self.terms)
 
+    @cached_property
+    def _amplitudes(self) -> dict[OccupationVector, float]:
+        return dict(self.terms)
+
     def amplitude(self, occ: OccupationVector) -> float:
-        return self.as_dict().get(occ, 0.0)
+        return self._amplitudes.get(occ, 0.0)
 
     def norm_square(self) -> float:
         return sum(a * a for _, a in self.terms)
@@ -129,11 +204,8 @@ def dicke_expansion(
     The explicit final renormalization is a no-op for the validated weight
     (the exact squares already sum to 1) but protects the "alt" variant.
     """
-    basis = enumerate_basis(species, n_particles, twice_m)
-    amps = [
-        sqrt(coefficient_square(species, n_particles, twice_m, occ, variant))
-        for occ in basis
-    ]
+    basis, denominator, numerators = _walk(species, n_particles, twice_m, variant)
+    amps = [_root(p, denominator) for p in numerators]
     norm = sqrt(sum(a * a for a in amps))
     return DickeExpansion(
         species,
@@ -148,7 +220,5 @@ def exact_coefficient_squares(
     species: SpinSpecies, n_particles: int, twice_m: int
 ) -> dict[OccupationVector, Fraction]:
     """Squared amplitudes of the full expansion as exact rationals."""
-    return {
-        occ: coefficient_square(species, n_particles, twice_m, occ)
-        for occ in enumerate_basis(species, n_particles, twice_m)
-    }
+    basis, denominator, numerators = _walk(species, n_particles, twice_m, "binomial")
+    return {occ: Fraction(p, denominator) for occ, p in zip(basis, numerators)}

@@ -1,5 +1,6 @@
+import sys
 from fractions import Fraction
-from math import sqrt
+from math import comb, exp, lgamma, log, sqrt
 
 import pytest
 
@@ -184,3 +185,56 @@ def test_alt_weight_variant_departs_from_the_reference_values():
 def test_alt_variant_expansion_is_still_normalized():
     expansion = dicke_expansion(SPIN_ONE, 10, 0, variant="alt")
     assert expansion.norm_square() == pytest.approx(1.0, abs=1e-12)
+
+
+def _lgamma_amplitude(species, occ, twice_m):
+    """Reference amplitude from lgamma; 0.0 below the normal float range."""
+    n = sum(occ)
+    twice_j = species.twice_spin * n
+    k = (twice_j - abs(twice_m)) // 2
+    log_square = lgamma(n + 1) - (
+        lgamma(twice_j + 1) - lgamma(k + 1) - lgamma(twice_j - k + 1)
+    )
+    ts = species.twice_spin
+    for count, tm in zip(occ, species.twice_levels):
+        log_square += count * log(comb(ts, (ts - tm) // 2)) - lgamma(count + 1)
+    half_log = 0.5 * log_square
+    return exp(half_log) if half_log >= log(sys.float_info.min) else 0.0
+
+
+def test_large_expansion_loses_no_normal_float_amplitude():
+    """Spin 1, N = 2400, M = 0: squares as small as 1e-600 must not take
+    their normal-float amplitudes down with them."""
+    expansion = dicke_expansion(SPIN_ONE, 2400, 0)
+    assert len(expansion.terms) == 1201
+    sub_float = 0
+    for occ, amp in expansion.terms:
+        reference = _lgamma_amplitude(SPIN_ONE, occ, 0)
+        if reference == 0.0:
+            sub_float += 1
+            assert 0.0 <= amp < sys.float_info.min
+        else:
+            assert amp == pytest.approx(reference, rel=1e-9, abs=0.0)
+    assert sub_float == 52
+
+
+def test_closed_form_coefficient_does_not_underflow():
+    for occ in enumerate_basis(SPIN_ONE, 2400, 0)[::25]:
+        reference = _lgamma_amplitude(SPIN_ONE, occ, 0)
+        value = closed_form_coefficient(SPIN_ONE, 2400, 0, occ)
+        if reference == 0.0:
+            assert value < sys.float_info.min
+        else:
+            assert value == pytest.approx(reference, rel=1e-9, abs=0.0)
+
+
+def test_amplitude_lookup_matches_terms_and_defaults_to_zero():
+    expansion = dicke_expansion(SPIN_TWO, 8, 2)
+    for occ, amp in expansion.terms:
+        assert expansion.amplitude(occ) == amp
+    assert expansion.amplitude((8, 0, 0, 0, 0)) == 0.0
+    # as_dict hands out a copy; editing it leaves the expansion untouched
+    copy = expansion.as_dict()
+    first, amp = expansion.terms[0]
+    copy[first] = -1.0
+    assert expansion.amplitude(first) == amp
