@@ -36,6 +36,7 @@ from .entanglement import (
     density_of,
     dicke_two_particle_rdm,
     equal_probability_expansion,
+    family_expansion,
     named_two_qutrit_state,
     negativity,
     negativity_sweep,
@@ -94,6 +95,7 @@ __all__ = [
     "enumerate_basis",
     "enumeration_bounds",
     "equal_probability_expansion",
+    "family_expansion",
     "highest_weight",
     "is_antisymmetric",
     "level_weight",

@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: basis, expand, oracle, verify-tables, antisym, negativity,
-figures, plot.  Exit codes: 0 success, 2 usage or domain error, 3 missing
-data file, 4 violated shape/consistency property.  All output is UTF-8
-with LF line endings; CSV uses ',' separators and '.' decimal points.
-The DICKE_THREADS environment variable caps sweep parallelism.
+figures, plot.  Exit codes: 0 success, 2 usage, domain or malformed-input
+error, 3 missing data file or other I/O failure, 4 violated shape or
+consistency property.  All output is UTF-8 with LF line endings; CSV uses
+',' separators and '.' decimal points.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from math import isfinite
 
 from . import entanglement, svg
 from .antisym import enumerate_all_antisym
@@ -24,6 +24,7 @@ from .coefficients import WEIGHT_VARIANTS, DickeExpansion, dicke_expansion
 from .entanglement import (
     SWEEP_FAMILIES,
     dicke_two_particle_rdm,
+    family_expansion,
     negativity,
     negativity_sweep,
     sweep_shape_violations,
@@ -51,10 +52,10 @@ def main(argv: list[str]) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except DomainError as exc:
+    except (DomainError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
@@ -140,12 +141,19 @@ def _parse_state_args(args) -> tuple[SpinSpecies, int, int]:
     return species, args.n, parse_twice(args.m)
 
 
-def _write_csv(header: list[str], rows: list[list[str]]) -> None:
+def _write_csv(
+    header: list[str], rows: list[list[str]], path: str | None = None
+) -> None:
+    """Write CSV to `path`, or to stdout when no path is given."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+    if path is None:
+        sys.stdout.write(buf.getvalue())
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(buf.getvalue())
 
 
 def _print_json(payload: dict) -> None:
@@ -282,39 +290,13 @@ def _cmd_antisym(args) -> int:
     return 0
 
 
-def _sweep_workers() -> int:
-    cap = os.environ.get("DICKE_THREADS")
-    workers = os.cpu_count() or 1
-    if cap is not None:
-        try:
-            cap_value = int(cap)
-        except ValueError:
-            raise DomainError(f"DICKE_THREADS must be a positive integer, got {cap!r}")
-        if cap_value < 1:
-            raise DomainError(f"DICKE_THREADS must be a positive integer, got {cap!r}")
-        workers = min(workers, cap_value)
-    return workers
-
-
-def _parallel_sweep(family: str, n: int) -> list[tuple[int, float]]:
-    twice_ms = list(range(0, 2 * n + 1, 2))
-    workers = _sweep_workers()
-    if workers == 1:
-        return negativity_sweep(family, n, twice_ms)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        values = list(
-            pool.map(lambda tm: negativity_sweep(family, n, [tm])[0], twice_ms)
-        )
-    return sorted(values)
-
-
 def _cmd_negativity(args) -> int:
     name, _, params_text = args.state.partition(":")
     if name in SWEEP_FAMILIES:
         if args.n is None:
             raise DomainError(f"--n is required for --state {name}")
         if args.sweep:
-            rows = _parallel_sweep(name, args.n)
+            rows = negativity_sweep(name, args.n)
             _write_csv(
                 ["M", "negativity"],
                 [[twice_to_str(tm), f"{value:.6f}"] for tm, value in rows],
@@ -322,27 +304,20 @@ def _cmd_negativity(args) -> int:
             return 0
         if args.m is None:
             raise DomainError(f"--m or --sweep is required for --state {name}")
-        tm = parse_twice(args.m)
-        build = (
-            dicke_expansion
-            if name == "dicke"
-            else entanglement.equal_probability_expansion
-        )
-        state = build(SpinSpecies.from_str("1"), args.n, tm)
-        report = negativity(dicke_two_particle_rdm(state))
-        print(f"{report.value:.6f}")
-        return 0
-    if args.sweep:
-        raise DomainError(f"--sweep applies to the dicke/equal families, not {name!r}")
-    params = ()
-    if params_text:
+        state = family_expansion(name, args.n, parse_twice(args.m))
+        rho = dicke_two_particle_rdm(state)
+    else:
+        if args.sweep:
+            raise DomainError(
+                f"--sweep applies to the dicke/equal families, not {name!r}"
+            )
         try:
-            params = tuple(float(x) for x in params_text.split(","))
+            params = tuple(map(float, params_text.split(","))) if params_text else ()
         except ValueError:
             raise DomainError(f"bad state parameters {params_text!r}") from None
-    vector = entanglement.named_two_qutrit_state(name, params)
-    report = negativity(entanglement.density_of(vector))
-    print(f"{report.value:.6f}")
+        vector = entanglement.named_two_qutrit_state(name, params)
+        rho = entanglement.density_of(vector)
+    print(f"{negativity(rho).value:.6f}")
     return 0
 
 
@@ -350,8 +325,8 @@ def _cmd_figures(args) -> int:
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
 
-    dicke_sweeps = {n: _parallel_sweep("dicke", n) for n in FIGURE_PARTICLE_COUNTS}
-    equal_sweeps = {n: _parallel_sweep("equal", n) for n in COMPARISON_PARTICLE_COUNTS}
+    dicke_sweeps = {n: negativity_sweep("dicke", n) for n in FIGURE_PARTICLE_COUNTS}
+    equal_sweeps = {n: negativity_sweep("equal", n) for n in COMPARISON_PARTICLE_COUNTS}
 
     problems: list[str] = []
     for n, rows in dicke_sweeps.items():
@@ -372,60 +347,43 @@ def _cmd_figures(args) -> int:
             print(f"shape violation: {problem}", file=sys.stderr)
         return 4
 
-    def write_rows(name: str, header: list[str], rows: list[list[str]]) -> None:
-        with open(
-            os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n"
-        ) as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-
-    write_rows(
-        "fig1.csv",
+    _write_csv(
         ["N", "M", "negativity"],
         [
             [str(n), twice_to_str(tm), f"{value:.6f}"]
             for n in FIGURE_PARTICLE_COUNTS
             for tm, value in dicke_sweeps[n]
         ],
+        os.path.join(out_dir, "fig1.csv"),
     )
     svg.write_chart(
         os.path.join(out_dir, "fig1.svg"),
-        [
-            (f"N={n}", [(tm / 2.0, value) for tm, value in dicke_sweeps[n]])
-            for n in FIGURE_PARTICLE_COUNTS
-        ],
+        [(f"N={n}", _points(dicke_sweeps[n])) for n in FIGURE_PARTICLE_COUNTS],
         title="Pair negativity of Dicke states",
         x_label="M",
         y_label="negativity",
     )
     for n in COMPARISON_PARTICLE_COUNTS:
         rows = [
-            [
-                twice_to_str(tm),
-                f"{value:.6f}",
-                f"{equal_sweeps[n][i][1]:.6f}",
-            ]
-            for i, (tm, value) in enumerate(dicke_sweeps[n])
+            [twice_to_str(tm), f"{dicke:.6f}", f"{equal:.6f}"]
+            for (tm, dicke), (_, equal) in zip(dicke_sweeps[n], equal_sweeps[n])
         ]
-        write_rows(f"fig2_n{n}.csv", ["M", "dicke", "equal"], rows)
+        _write_csv(
+            ["M", "dicke", "equal"], rows, os.path.join(out_dir, f"fig2_n{n}.csv")
+        )
         svg.write_chart(
             os.path.join(out_dir, f"fig2_n{n}.svg"),
-            [
-                (
-                    "dicke",
-                    [(tm / 2.0, value) for tm, value in dicke_sweeps[n]],
-                ),
-                (
-                    "equal",
-                    [(tm / 2.0, value) for tm, value in equal_sweeps[n]],
-                ),
-            ],
+            [("dicke", _points(dicke_sweeps[n])), ("equal", _points(equal_sweeps[n]))],
             title=f"Dicke vs equal-probability states, N={n}",
             x_label="M",
             y_label="negativity",
         )
     return 0
+
+
+def _points(rows: list[tuple[int, float]]) -> list[tuple[float, float]]:
+    """(M, negativity) chart points of (2M, negativity) sweep rows."""
+    return [(tm / 2.0, value) for tm, value in rows]
 
 
 def _cmd_plot(args) -> int:
@@ -438,6 +396,9 @@ def _cmd_plot(args) -> int:
         if len(header) < 2:
             raise DomainError("plot input needs an x column and at least one series")
         records = [row for row in reader if row]
+    for row in records:
+        if len(row) < len(header):
+            raise DomainError(f"row {row} has fewer than {len(header)} cells")
     series = []
     for k, label in enumerate(header[1:], start=1):
         points = []
@@ -450,9 +411,12 @@ def _cmd_plot(args) -> int:
 
 def _parse_number(text: str) -> float:
     try:
-        return parse_twice(text) / 2.0 if "/" in text else float(text)
+        value = parse_twice(text) / 2.0 if "/" in text else float(text)
     except (ValueError, DomainError):
         raise DomainError(f"not a number: {text!r}") from None
+    if not isfinite(value):
+        raise DomainError(f"not a finite number: {text!r}")
+    return value
 
 
 if __name__ == "__main__":

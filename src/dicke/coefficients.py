@@ -201,11 +201,14 @@ def dicke_expansion(
 ) -> DickeExpansion:
     """Full closed-form expansion of |J = sN, M> over its occupation basis.
 
-    The explicit final renormalization is a no-op for the validated weight
-    (the exact squares already sum to 1) but protects the "alt" variant.
+    Each root is taken over the exact sum of the numerators, which equals D
+    for the validated weight and normalizes the "alt" variant before any
+    float is formed; the final float renormalization is kept for both.
     """
-    basis, denominator, numerators = _walk(species, n_particles, twice_m, variant)
-    amps = [_root(p, denominator) for p in numerators]
+    basis, _, numerators = _walk(species, n_particles, twice_m, variant)
+    numerators = list(numerators)
+    total = sum(numerators)
+    amps = [_root(p, total) for p in numerators]
     norm = sqrt(sum(a * a for a in amps))
     return DickeExpansion(
         species,

@@ -14,7 +14,8 @@ symmetric state becomes literally block diagonal: one 3x3 block, two 2x2
 blocks and two scalars.  `PT_PERMUTATION` maps between the two orders.
 
 Negativity is always evaluated on the full 9x9 partial transpose; the block
-path is an optimization that is validated against it, never trusted alone.
+path (`block_negativity`) is a second route that is validated against it,
+never trusted alone.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import permutations
-from math import factorial, sqrt
+from math import factorial, isfinite, sqrt
 
 from .basis import enumerate_basis
 from .coefficients import DickeExpansion, dicke_expansion
@@ -73,12 +74,14 @@ class TwoQuditDensity:
 
     def validate(self, psd_tol: float = 1e-10, tol: float = 1e-12) -> None:
         m = self.matrix()
+        if not all(isfinite(x) for row in m for x in row):
+            raise DomainError("density matrix has a non-finite entry")
         trace = sum(m[i][i] for i in range(len(m)))
-        if abs(trace - 1.0) > tol:
+        if not abs(trace - 1.0) <= tol:
             raise DomainError(f"trace is {trace!r}, not 1")
         for i in range(len(m)):
             for j in range(i + 1, len(m)):
-                if abs(m[i][j] - m[j][i]) > tol:
+                if not abs(m[i][j] - m[j][i]) <= tol:
                     raise DomainError("density matrix is not symmetric")
         if min(symmetric_eigenvalues(m)) < -psd_tol:
             raise DomainError("density matrix is not positive semidefinite")
@@ -87,8 +90,8 @@ class TwoQuditDensity:
 @dataclass(frozen=True)
 class NegativityReport:
     """Sum of |negative eigenvalues| of the partial transpose, with the
-    eigenvalues themselves and (when the block path applies) the block
-    label each negative eigenvalue came from."""
+    eigenvalues themselves and, from `block_negativity`, the eigenvalues of
+    each labelled block."""
 
     value: float
     negative_eigenvalues: tuple[float, ...]
@@ -104,7 +107,7 @@ def _as_density(entries: Matrix) -> TwoQuditDensity:
 def density_of(state: StateVector) -> TwoQuditDensity:
     """Projector onto a normalized pure two-qutrit state."""
     norm_sq = sum(a * a for a in state)
-    if abs(norm_sq - 1.0) > 1e-10:
+    if not abs(norm_sq - 1.0) <= 1e-10:
         raise DomainError(f"state vector norm^2 is {norm_sq!r}, not 1")
     return _as_density([[a * b for b in state] for a in state])
 
@@ -134,7 +137,7 @@ def named_two_qutrit_state(name: str, params: tuple[float, ...] = ()) -> StateVe
         if len(params) != 2:
             raise DomainError("psi1 needs parameters c1,c2")
         c1, c2 = params
-        if abs(c1 * c1 + c2 * c2 - 1.0) > 1e-10:
+        if not abs(c1 * c1 + c2 * c2 - 1.0) <= 1e-10:
             raise DomainError(f"c1^2 + c2^2 = {c1 * c1 + c2 * c2!r}, not 1")
         root3 = sqrt(3.0)
         put((2, 2), 1.0 / root3)
@@ -178,18 +181,11 @@ def reorder_to_pt_basis(matrix: Matrix) -> Matrix:
 
 
 def negativity(rho: TwoQuditDensity) -> NegativityReport:
-    """Sum of absolute values of negative partial-transpose eigenvalues.
-
-    Always computed from the full 9x9 diagonalization.  When the matrix has
-    the symmetric-reduction block pattern, the per-block origin of each
-    negative eigenvalue is attached as provenance.
-    """
+    """Sum of absolute values of negative partial-transpose eigenvalues,
+    from the full 9x9 diagonalization."""
     eigenvalues = symmetric_eigenvalues(partial_transpose(rho))
     negatives = tuple(e for e in eigenvalues if e < 0.0)
-    blocks = None
-    if has_pair_reduction_block_structure(rho):
-        blocks = _pt_block_eigenvalues(rho)
-    return NegativityReport(-sum(negatives), negatives, blocks)
+    return NegativityReport(-sum(negatives), negatives)
 
 
 def has_pair_reduction_block_structure(
@@ -197,13 +193,10 @@ def has_pair_reduction_block_structure(
 ) -> bool:
     """True when all entries outside the fixed-M pair-reduction blocks vanish.
 
-    In RHO_BASIS order those blocks are {0,1,2}, {3,4}, {5,6}, {7}, {8}.
+    In RHO_BASIS order those blocks (total m = 0, +1, -1, +2, -2) have the
+    same indices as PT_BLOCKS in PT_BASIS order.
     """
-    groups = ((0, 1, 2), (3, 4), (5, 6), (7,), (8,))
-    member = {}
-    for g, idxs in enumerate(groups):
-        for i in idxs:
-            member[i] = g
+    member = {i: label for label, idxs in PT_BLOCKS for i in idxs}
     m = rho.matrix()
     return all(
         abs(m[i][j]) <= tol
@@ -211,17 +204,6 @@ def has_pair_reduction_block_structure(
         for j in range(9)
         if member[i] != member[j]
     )
-
-
-def _pt_block_eigenvalues(
-    rho: TwoQuditDensity,
-) -> tuple[tuple[str, tuple[float, ...]], ...]:
-    pt = reorder_to_pt_basis(partial_transpose(rho))
-    out = []
-    for label, idxs in PT_BLOCKS:
-        sub = [[pt[i][j] for j in idxs] for i in idxs]
-        out.append((label, tuple(symmetric_eigenvalues(sub))))
-    return tuple(out)
 
 
 def block_negativity(rho: TwoQuditDensity) -> NegativityReport:
@@ -232,7 +214,11 @@ def block_negativity(rho: TwoQuditDensity) -> NegativityReport:
     """
     if not has_pair_reduction_block_structure(rho):
         raise DomainError("matrix does not have the pair-reduction block pattern")
-    blocks = _pt_block_eigenvalues(rho)
+    pt = reorder_to_pt_basis(partial_transpose(rho))
+    blocks = tuple(
+        (label, tuple(symmetric_eigenvalues([[pt[i][j] for j in idxs] for i in idxs])))
+        for label, idxs in PT_BLOCKS
+    )
     negatives = tuple(
         e for _, eigenvalues in blocks for e in eigenvalues if e < 0.0
     )
@@ -412,6 +398,15 @@ def equal_probability_expansion(
 SWEEP_FAMILIES = ("dicke", "equal")
 
 
+def family_expansion(family: str, n_particles: int, twice_m: int) -> DickeExpansion:
+    """The spin-1 member of a sweep family ("dicke" or "equal") at (N, M)."""
+    if family == "dicke":
+        return dicke_expansion(SPIN_ONE, n_particles, twice_m)
+    if family == "equal":
+        return equal_probability_expansion(SPIN_ONE, n_particles, twice_m)
+    raise DomainError(f"unknown state family {family!r}")
+
+
 def negativity_sweep(
     family: str,
     n_particles: int,
@@ -422,14 +417,13 @@ def negativity_sweep(
     Returns (2M, negativity) rows in ascending M order; the default range
     is M = 0 .. J.
     """
-    if family not in SWEEP_FAMILIES:
-        raise DomainError(f"unknown state family {family!r}")
+    if n_particles < 2:
+        raise DomainError("pair reduction needs at least two particles")
     if twice_m_values is None:
         twice_m_values = list(range(0, 2 * n_particles + 1, 2))
-    build = dicke_expansion if family == "dicke" else equal_probability_expansion
     rows = []
     for tm in sorted(twice_m_values):
-        state = build(SPIN_ONE, n_particles, tm)
+        state = family_expansion(family, n_particles, tm)
         rows.append((tm, negativity(dicke_two_particle_rdm(state)).value))
     return rows
 

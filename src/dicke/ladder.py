@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import isqrt, sqrt
+from typing import Iterator
 
 from .basis import OccupationVector, check_domain
 from .coefficients import DickeExpansion
@@ -44,52 +46,55 @@ def highest_weight(species: SpinSpecies, n_particles: int) -> DickeExpansion:
     return DickeExpansion(species, n_particles, twice_j, twice_j, ((occ, 1.0),))
 
 
-def _term_dict(x: DickeExpansion | RawExpansion) -> dict[OccupationVector, float]:
-    return dict(x.terms) if isinstance(x, DickeExpansion) else dict(x.terms)
-
-
 def _ladder_factor_square(twice_spin: int, twice_m: int) -> int:
     """(s + m)(s - m + 1) as an integer, for lowering out of level m."""
     return ((twice_spin + twice_m) // 2) * ((twice_spin - twice_m) // 2 + 1)
 
 
+@cache
+def _moves(species: SpinSpecies, lowering: bool) -> tuple[tuple[int, int, int], ...]:
+    """(source level, target level, ladder factor^2) of every single-particle
+    move of J- (lowering) or J+, with levels indexed as in the occupation
+    vector; raising out of level m carries (s - m)(s + m + 1)."""
+    levels = species.twice_levels
+    step = 1 if lowering else -1
+    sources = range(len(levels) - 1) if lowering else range(1, len(levels))
+    return tuple(
+        (i, i + step, _ladder_factor_square(species.twice_spin, step * levels[i]))
+        for i in sources
+    )
+
+
+def _apply(x: DickeExpansion | RawExpansion, lowering: bool) -> RawExpansion:
+    moves = _moves(x.species, lowering)
+    out: dict[OccupationVector, float] = {}
+    for occ, amp in dict(x.terms).items():
+        for src, dst, f2 in moves:
+            if occ[src]:
+                moved = list(occ)
+                moved[src] -= 1
+                moved[dst] += 1
+                key = tuple(moved)
+                factor = sqrt(f2 * occ[src] * (occ[dst] + 1))
+                out[key] = out.get(key, 0.0) + amp * factor
+    return RawExpansion(x.species, x.n_particles, out)
+
+
 def apply_lowering(x: DickeExpansion | RawExpansion) -> RawExpansion:
     """Collective J- in second quantization; merges coincident vectors."""
-    species = x.species
-    levels = species.twice_levels
-    out: dict[OccupationVector, float] = {}
-    for occ, amp in _term_dict(x).items():
-        for i in range(len(levels) - 1):
-            if occ[i] == 0:
-                continue
-            f2 = _ladder_factor_square(species.twice_spin, levels[i])
-            factor = sqrt(f2 * occ[i] * (occ[i + 1] + 1))
-            moved = list(occ)
-            moved[i] -= 1
-            moved[i + 1] += 1
-            key = tuple(moved)
-            out[key] = out.get(key, 0.0) + amp * factor
-    return RawExpansion(species, x.n_particles, out)
+    return _apply(x, lowering=True)
 
 
 def apply_raising(x: DickeExpansion | RawExpansion) -> RawExpansion:
     """Collective J+; mirror image of `apply_lowering`."""
-    species = x.species
-    levels = species.twice_levels
-    out: dict[OccupationVector, float] = {}
-    for occ, amp in _term_dict(x).items():
-        for i in range(1, len(levels)):
-            if occ[i] == 0:
-                continue
-            # raising out of level m carries (s - m)(s + m + 1)
-            f2 = _ladder_factor_square(species.twice_spin, -levels[i])
-            factor = sqrt(f2 * occ[i] * (occ[i - 1] + 1))
-            moved = list(occ)
-            moved[i] -= 1
-            moved[i - 1] += 1
-            key = tuple(moved)
-            out[key] = out.get(key, 0.0) + amp * factor
-    return RawExpansion(species, x.n_particles, out)
+    return _apply(x, lowering=False)
+
+
+def _lowering_steps(twice_j: int, twice_m: int) -> Iterator[int]:
+    """(J + M)(J - M + 1), exact in integers, for each step M -> M - 1 of
+    the chain from M = J down to the target."""
+    for tm in range(twice_j, twice_m, -2):
+        yield ((twice_j + tm) // 2) * ((twice_j - tm) // 2 + 1)
 
 
 def oracle_expansion(
@@ -102,16 +107,11 @@ def oracle_expansion(
     """
     check_domain(species, n_particles, twice_m)
     twice_j = species.twice_spin * n_particles
-    state = highest_weight(species, n_particles)
-    terms = dict(state.terms)
-    tm = twice_j
-    while tm > twice_m:
+    terms = dict(highest_weight(species, n_particles).terms)
+    for step in _lowering_steps(twice_j, twice_m):
         lowered = apply_lowering(RawExpansion(species, n_particles, terms))
-        # (J + M)(J - M + 1) for the step tm -> tm - 2, exact in integers
-        step = ((twice_j + tm) // 2) * ((twice_j - tm) // 2 + 1)
         divisor = sqrt(step)
         terms = {occ: amp / divisor for occ, amp in lowered.terms.items()}
-        tm -= 2
     norm = sqrt(sum(a * a for a in terms.values()))
     cleaned = sorted(
         (occ, amp / norm)
@@ -173,25 +173,19 @@ def oracle_squares_exact(
     for small N (cost grows with the chain length and basis size).
     """
     check_domain(species, n_particles, twice_m)
-    twice_j = species.twice_spin * n_particles
-    levels = species.twice_levels
+    moves = _moves(species, lowering=True)
     occ0 = (n_particles,) + (0,) * species.twice_spin
     squares: dict[OccupationVector, Fraction] = {occ0: Fraction(1)}
-    tm = twice_j
-    while tm > twice_m:
-        step = Fraction(((twice_j + tm) // 2) * ((twice_j - tm) // 2 + 1))
+    for step in _lowering_steps(species.twice_spin * n_particles, twice_m):
         nxt: dict[OccupationVector, Fraction] = {}
         for occ, q in squares.items():
-            for i in range(len(levels) - 1):
-                if occ[i] == 0:
-                    continue
-                f2 = _ladder_factor_square(species.twice_spin, levels[i])
-                contrib = q * f2 * occ[i] * (occ[i + 1] + 1) / step
-                moved = list(occ)
-                moved[i] -= 1
-                moved[i + 1] += 1
-                key = tuple(moved)
-                nxt[key] = _add_with_common_radical(nxt.get(key, Fraction(0)), contrib)
+            for src, dst, f2 in moves:
+                if occ[src]:
+                    moved = list(occ)
+                    moved[src] -= 1
+                    moved[dst] += 1
+                    key = tuple(moved)
+                    contrib = q * f2 * occ[src] * (occ[dst] + 1) / step
+                    nxt[key] = _add_with_common_radical(nxt.get(key, Fraction(0)), contrib)
         squares = nxt
-        tm -= 2
     return squares

@@ -152,8 +152,6 @@ def test_figures_shape_violation_exits_4(tmp_path, capsys, monkeypatch):
         return [(tm, 0.001 * tm) for tm in twice_ms]  # increases with M
 
     monkeypatch.setattr(dicke.cli, "negativity_sweep", broken_sweep)
-    monkeypatch.delenv("DICKE_THREADS", raising=False)
-    monkeypatch.setenv("DICKE_THREADS", "1")
     code, _, err = run(["figures", "--out-dir", str(tmp_path)], capsys)
     assert code == 4
     assert "shape violation" in err
@@ -239,29 +237,43 @@ def test_negativity_sweep_csv(capsys):
     assert float(rows[-1][1]) == 0.0
 
 
-def test_sweep_respects_thread_cap(capsys, monkeypatch):
-    code, serial, _ = run(["negativity", "--state", "equal", "--n", "8", "--sweep"], capsys)
-    monkeypatch.setenv("DICKE_THREADS", "3")
-    code2, threaded, _ = run(
-        ["negativity", "--state", "equal", "--n", "8", "--sweep"], capsys
-    )
-    assert code == code2 == 0
-    assert serial == threaded
-    monkeypatch.setenv("DICKE_THREADS", "zero")
-    code3, _, err = run(["negativity", "--state", "equal", "--n", "8", "--sweep"], capsys)
-    assert code3 == 2
-    assert "DICKE_THREADS" in err
-
-
 def test_negativity_output_is_deterministic(capsys):
-    args = ["negativity", "--state", "dicke", "--n", "12", "--sweep"]
-    _, first, _ = run(args, capsys)
-    _, second, _ = run(args, capsys)
-    assert first == second
+    for family, n in (("dicke", 12), ("equal", 8)):
+        args = ["negativity", "--state", family, "--n", str(n), "--sweep"]
+        code, first, _ = run(args, capsys)
+        code2, second, _ = run(args, capsys)
+        assert code == code2 == 0
+        assert first == second
+        # each row is the value of that M computed on its own
+        _, rows = parse_csv(first)
+        for m_text, value in rows:
+            code, point, _ = run(
+                ["negativity", "--state", family, "--n", str(n), "--m", m_text],
+                capsys,
+            )
+            assert code == 0
+            assert point.strip() == value
 
 
-def test_figures_writes_files_with_expected_shapes(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DICKE_THREADS", "4")
+def test_negativity_sweep_rejects_too_few_particles(capsys):
+    for n in ("-3", "0", "1"):
+        code, out, err = run(
+            ["negativity", "--state", "equal", "--n", n, "--sweep"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "particles" in err
+
+
+@pytest.mark.parametrize("params", ["nan,nan", "nan,1", "inf,0"])
+def test_negativity_rejects_non_finite_parameters(params, capsys):
+    code, out, err = run(["negativity", "--state", f"psi1:{params}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_figures_writes_files_with_expected_shapes(tmp_path, capsys):
     code, out, err = run(["figures", "--out-dir", str(tmp_path)], capsys)
     assert code == 0, err
     for name in (
@@ -316,6 +328,53 @@ def test_plot_multi_series(tmp_path, capsys):
     root = ET.fromstring(out_svg.read_text())
     polylines = [e for e in root.iter() if e.tag.endswith("polyline")]
     assert len(polylines) == 2
+
+
+def test_figures_out_dir_that_is_a_file_exits_3(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("", encoding="utf-8")
+    code, _, err = run(["figures", "--out-dir", str(target)], capsys)
+    assert code == 3
+    assert err.startswith("error:")
+
+
+def test_plot_input_that_is_a_directory_exits_3(tmp_path, capsys):
+    code, _, err = run(
+        ["plot", "--in", str(tmp_path), "--out", str(tmp_path / "x.svg")], capsys
+    )
+    assert code == 3
+    assert err.startswith("error:")
+
+
+def test_plot_short_row_exits_2(tmp_path, capsys):
+    source = tmp_path / "short.csv"
+    source.write_text("M,dicke,equal\n0,0.3,0.4\n1,0.2\n", encoding="utf-8")
+    out_svg = tmp_path / "short.svg"
+    code, _, err = run(["plot", "--in", str(source), "--out", str(out_svg)], capsys)
+    assert code == 2
+    assert "fewer than 3 cells" in err
+    assert not out_svg.exists()
+
+
+def test_plot_input_that_is_not_utf8_exits_2(tmp_path, capsys):
+    source = tmp_path / "latin1.csv"
+    source.write_bytes(b"M,negativity\n0,\xff\xfe\n")
+    code, _, err = run(
+        ["plot", "--in", str(source), "--out", str(tmp_path / "x.svg")], capsys
+    )
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_plot_non_finite_value_exits_2(cell, tmp_path, capsys):
+    source = tmp_path / "bad.csv"
+    source.write_text(f"M,negativity\n0,0.3\n1,{cell}\n", encoding="utf-8")
+    out_svg = tmp_path / "bad.svg"
+    code, _, err = run(["plot", "--in", str(source), "--out", str(out_svg)], capsys)
+    assert code == 2
+    assert "finite" in err
+    assert not out_svg.exists()
 
 
 def test_plot_missing_input_exits_3(tmp_path, capsys):

@@ -187,6 +187,14 @@ def test_alt_variant_expansion_is_still_normalized():
     assert expansion.norm_square() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_alt_variant_does_not_overflow_at_large_n():
+    expansion = dicke_expansion(SPIN_ONE, 2400, 0, variant="alt")
+    assert len(expansion.terms) == 1201
+    assert expansion.norm_square() == pytest.approx(1.0, abs=1e-12)
+    # alt weights 1 : 4 : 1 put the heaviest term at n_0 = 4 n_1
+    assert max(expansion.terms, key=lambda t: t[1])[0] == (400, 1600, 400)
+
+
 def _lgamma_amplitude(species, occ, twice_m):
     """Reference amplitude from lgamma; 0.0 below the normal float range."""
     n = sum(occ)

@@ -12,6 +12,7 @@ from dicke import (
     dicke_expansion,
     dicke_two_particle_rdm,
     equal_probability_expansion,
+    family_expansion,
     highest_weight,
     named_two_qutrit_state,
     negativity,
@@ -33,6 +34,7 @@ from dicke.entanglement import (
     sweep_shape_violations,
     two_body_elements,
 )
+from dicke.linalg import symmetric_eigenvalues
 
 POINT_TOLERANCE = 5e-4
 
@@ -255,9 +257,24 @@ def test_block_negativity_agrees_with_full_diagonalization():
             full = negativity(rho)
             blocked = block_negativity(rho)
             assert blocked.value == pytest.approx(full.value, abs=1e-12)
-            assert full.block_decomposition is not None
             labels = [label for label, _ in blocked.block_decomposition]
             assert labels == ["T1", "T2", "T3", "a1", "a3"]
+
+
+def test_negativity_runs_one_eigensolve(monkeypatch):
+    import dicke.entanglement
+
+    solves = []
+
+    def counting(matrix):
+        solves.append(len(matrix))
+        return symmetric_eigenvalues(matrix)
+
+    rho = dicke_two_particle_rdm(dicke_expansion(SPIN_ONE, 8, 2))
+    monkeypatch.setattr(dicke.entanglement, "symmetric_eigenvalues", counting)
+    report = negativity(rho)
+    assert solves == [9]
+    assert report.value == pytest.approx(block_negativity(rho).value, abs=1e-12)
 
 
 def test_block_negativity_rejects_generic_matrices():
@@ -295,6 +312,40 @@ def test_equal_beats_dicke_at_m0():
         dicke_value = negativity_sweep("dicke", n, [0])[0][1]
         equal_value = negativity_sweep("equal", n, [0])[0][1]
         assert equal_value > dicke_value
+
+
+def test_sweep_rejects_too_few_particles(monkeypatch):
+    import dicke.entanglement
+
+    def unreachable(*args):
+        raise AssertionError("a state was built")
+
+    monkeypatch.setattr(dicke.entanglement, "family_expansion", unreachable)
+    for n in (-3, 0, 1):
+        with pytest.raises(DomainError):
+            negativity_sweep("dicke", n)
+
+
+def test_family_expansion_builds_each_family():
+    assert family_expansion("dicke", 6, 2) == dicke_expansion(SPIN_ONE, 6, 2)
+    assert family_expansion("equal", 6, 2) == equal_probability_expansion(
+        SPIN_ONE, 6, 2
+    )
+    with pytest.raises(DomainError):
+        family_expansion("bogus", 6, 2)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_density_checks_reject_non_finite_input(bad):
+    with pytest.raises(DomainError):
+        density_of((bad,) + (0.0,) * 8)
+    with pytest.raises(DomainError):
+        named_two_qutrit_state("psi1", (bad, bad))
+    entries = [[0.0] * 9 for _ in range(9)]
+    entries[0][0] = 1.0
+    entries[1][2] = entries[2][1] = bad
+    with pytest.raises(DomainError):
+        TwoQuditDensity(3, tuple(tuple(row) for row in entries)).validate()
 
 
 def test_sweep_shape_violation_detector():
