@@ -21,6 +21,9 @@ from .species import DomainError, SpinSpecies
 
 Assignment = tuple[int, ...]  # per-particle twice-m values
 
+#: largest |amplitude| sum a transposition may leave in an antisymmetric state
+ANTISYMMETRY_TOLERANCE = 1e-12
+
 
 @dataclass(frozen=True)
 class FirstQuantizedState:
@@ -92,7 +95,7 @@ def enumerate_all_antisym(species: SpinSpecies) -> list[FirstQuantizedState]:
     return states
 
 
-def is_antisymmetric(state: FirstQuantizedState, tol: float = 1e-12) -> bool:
+def is_antisymmetric(state: FirstQuantizedState) -> bool:
     """True iff every particle transposition negates the state.
 
     Scale-free: an unnormalized multiple of an antisymmetric state passes.
@@ -104,7 +107,7 @@ def is_antisymmetric(state: FirstQuantizedState, tol: float = 1e-12) -> bool:
             for assignment, amp in amps.items():
                 swapped = list(assignment)
                 swapped[i], swapped[j] = swapped[j], swapped[i]
-                if abs(amps.get(tuple(swapped), 0.0) + amp) > tol:
+                if abs(amps.get(tuple(swapped), 0.0) + amp) > ANTISYMMETRY_TOLERANCE:
                     return False
     return True
 

@@ -291,11 +291,15 @@ def _cmd_antisym(args) -> int:
 
 
 def _cmd_negativity(args) -> int:
-    name, _, params_text = args.state.partition(":")
+    name, colon, params_text = args.state.partition(":")
     if name in SWEEP_FAMILIES:
+        if colon:
+            raise DomainError(f"--state {name} takes no parameters")
         if args.n is None:
             raise DomainError(f"--n is required for --state {name}")
         if args.sweep:
+            if args.m is not None:
+                raise DomainError("--m and --sweep cannot be combined")
             rows = negativity_sweep(name, args.n)
             _write_csv(
                 ["M", "negativity"],
@@ -311,8 +315,10 @@ def _cmd_negativity(args) -> int:
             raise DomainError(
                 f"--sweep applies to the dicke/equal families, not {name!r}"
             )
+        if args.n is not None or args.m is not None:
+            raise DomainError("--n and --m apply to the dicke/equal families only")
         try:
-            params = tuple(map(float, params_text.split(","))) if params_text else ()
+            params = tuple(map(float, params_text.split(","))) if colon else ()
         except ValueError:
             raise DomainError(f"bad state parameters {params_text!r}") from None
         vector = entanglement.named_two_qutrit_state(name, params)

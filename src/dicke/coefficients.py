@@ -19,13 +19,15 @@ identically (see VALIDATION.md).
 enumeration order and keep P as an exact integer: it is built from
 factorials for the first vector only, and each later P follows from the
 previous one through the falling-factorial and weight ratios of the counts
-that changed.  D is computed once per call.  The one floating-point step is
-the square root of P / D, taken on a scaled integer quotient (`_root`), so
-no square is ever formed in floating point and no amplitude that is a
-normal float underflows.  `coefficient_square` evaluates the same formula
-per vector from factorials and is the independent oracle for the walk.  A
-rejected candidate weight is kept selectable as the "alt" variant purely to
-document its failure against the reference tables.
+that changed.  The one floating-point step is the square root of P over
+D (`exact_coefficient_squares`) or over the exact sum of the P, which
+equals D for the validated weight (`dicke_expansion`), taken on a scaled
+integer quotient (`_root`), so no square is ever formed in floating point
+and no amplitude that is a normal float underflows.  `coefficient_square`
+evaluates the same formula per vector from factorials and is the
+independent oracle for the walk.  A rejected candidate weight is kept
+selectable as the "alt" variant purely to document its failure against
+the reference tables.
 """
 
 from __future__ import annotations
@@ -129,19 +131,17 @@ def closed_form_coefficient(
 
 def _walk(
     species: SpinSpecies, n_particles: int, twice_m: int, variant: str
-) -> tuple[list[OccupationVector], int, Iterator[int]]:
-    """The basis, the common denominator D, and the numerators P of the
-    exact squares C^2 = P / D in basis order.
+) -> tuple[list[OccupationVector], Iterator[int]]:
+    """The basis and the numerators P of the exact squares C^2 = P / D in
+    basis order.
 
     Moving from one vector to the next multiplies P by a!/b! * w^(b - a)
     for every level whose count changes from a to b; the factors are
     collected as an integer fraction and divided out exactly, since every
     P is an integer.
     """
-    weights, scale = _level_weight_squares(species, variant)
+    weights, _ = _level_weight_squares(species, variant)
     basis = enumerate_basis(species, n_particles, twice_m)
-    twice_j = species.twice_spin * n_particles
-    denominator = comb(twice_j, (twice_j - abs(twice_m)) // 2) * scale**n_particles
 
     def numerators() -> Iterator[int]:
         prev = basis[0]
@@ -162,7 +162,7 @@ def _walk(
             prev = occ
             yield p
 
-    return basis, denominator, numerators()
+    return basis, numerators()
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,6 @@ class DickeExpansion:
 
     species: SpinSpecies
     n_particles: int
-    twice_j: int
     twice_m: int
     terms: tuple[tuple[OccupationVector, float], ...]
 
@@ -205,23 +204,20 @@ def dicke_expansion(
     for the validated weight and normalizes the "alt" variant before any
     float is formed; the final float renormalization is kept for both.
     """
-    basis, _, numerators = _walk(species, n_particles, twice_m, variant)
+    basis, numerators = _walk(species, n_particles, twice_m, variant)
     numerators = list(numerators)
     total = sum(numerators)
     amps = [_root(p, total) for p in numerators]
     norm = sqrt(sum(a * a for a in amps))
-    return DickeExpansion(
-        species,
-        n_particles,
-        species.twice_spin * n_particles,
-        twice_m,
-        tuple((occ, a / norm) for occ, a in zip(basis, amps)),
-    )
+    terms = tuple((occ, a / norm) for occ, a in zip(basis, amps))
+    return DickeExpansion(species, n_particles, twice_m, terms)
 
 
 def exact_coefficient_squares(
     species: SpinSpecies, n_particles: int, twice_m: int
 ) -> dict[OccupationVector, Fraction]:
     """Squared amplitudes of the full expansion as exact rationals."""
-    basis, denominator, numerators = _walk(species, n_particles, twice_m, "binomial")
+    basis, numerators = _walk(species, n_particles, twice_m, "binomial")
+    twice_j = species.twice_spin * n_particles
+    denominator = comb(twice_j, (twice_j - abs(twice_m)) // 2)
     return {occ: Fraction(p, denominator) for occ, p in zip(basis, numerators)}

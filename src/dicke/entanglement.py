@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import permutations
-from math import factorial, isfinite, sqrt
+from math import factorial, sqrt
 
 from .basis import enumerate_basis
 from .coefficients import DickeExpansion, dicke_expansion
@@ -60,30 +60,32 @@ PT_BLOCKS: tuple[tuple[str, tuple[int, ...]], ...] = (
 
 StateVector = tuple[float, ...]  # 9 real amplitudes in RHO_BASIS order
 
+#: largest allowed |trace - 1| of a density matrix
+TRACE_TOLERANCE = 1e-12
+#: most negative eigenvalue a density matrix may have
+PSD_TOLERANCE = 1e-10
+
 
 @dataclass(frozen=True)
 class TwoQuditDensity:
     """Real symmetric trace-1 matrix on the pinned two-qutrit basis."""
 
-    dim: int
     entries: tuple[tuple[float, ...], ...]
-    basis_order: tuple[LevelPair, ...] = RHO_BASIS
 
     def matrix(self) -> Matrix:
         return [list(row) for row in self.entries]
 
-    def validate(self, psd_tol: float = 1e-10, tol: float = 1e-12) -> None:
+    def validate(self) -> None:
+        """Trace and PSD checks; `symmetric_eigenvalues` checks the rest."""
         m = self.matrix()
-        if not all(isfinite(x) for row in m for x in row):
-            raise DomainError("density matrix has a non-finite entry")
         trace = sum(m[i][i] for i in range(len(m)))
-        if not abs(trace - 1.0) <= tol:
+        if not abs(trace - 1.0) <= TRACE_TOLERANCE:
             raise DomainError(f"trace is {trace!r}, not 1")
-        for i in range(len(m)):
-            for j in range(i + 1, len(m)):
-                if not abs(m[i][j] - m[j][i]) <= tol:
-                    raise DomainError("density matrix is not symmetric")
-        if min(symmetric_eigenvalues(m)) < -psd_tol:
+        try:
+            smallest = min(symmetric_eigenvalues(m))
+        except ValueError as exc:
+            raise DomainError(f"density {exc}") from None
+        if smallest < -PSD_TOLERANCE:
             raise DomainError("density matrix is not positive semidefinite")
 
 
@@ -99,7 +101,7 @@ class NegativityReport:
 
 
 def _as_density(entries: Matrix) -> TwoQuditDensity:
-    rho = TwoQuditDensity(3, tuple(tuple(row) for row in entries))
+    rho = TwoQuditDensity(tuple(tuple(row) for row in entries))
     rho.validate()
     return rho
 
@@ -123,6 +125,8 @@ def named_two_qutrit_state(name: str, params: tuple[float, ...] = ()) -> StateVe
     bsplus    (ud + du + 00)/sqrt(3)
     bsminus   (ud + du - 00)/sqrt(3)
     """
+    if params and name != "psi1":
+        raise DomainError(f"only psi1 takes parameters, not {name!r}")
     vec = [0.0] * 9
 
     def put(pair: LevelPair, amp: float) -> None:
@@ -387,11 +391,7 @@ def equal_probability_expansion(
     basis = enumerate_basis(species, n_particles, twice_m)
     amp = 1.0 / sqrt(len(basis))
     return DickeExpansion(
-        species,
-        n_particles,
-        species.twice_spin * n_particles,
-        twice_m,
-        tuple((occ, amp) for occ in basis),
+        species, n_particles, twice_m, tuple((occ, amp) for occ in basis)
     )
 
 

@@ -40,10 +40,10 @@ class RawExpansion:
 
 def highest_weight(species: SpinSpecies, n_particles: int) -> DickeExpansion:
     """|J, J>: all particles in the m = +s level, amplitude 1."""
-    check_domain(species, n_particles, species.twice_spin * n_particles)
-    occ = (n_particles,) + (0,) * species.twice_spin
     twice_j = species.twice_spin * n_particles
-    return DickeExpansion(species, n_particles, twice_j, twice_j, ((occ, 1.0),))
+    check_domain(species, n_particles, twice_j)
+    occ = (n_particles,) + (0,) * species.twice_spin
+    return DickeExpansion(species, n_particles, twice_j, ((occ, 1.0),))
 
 
 def _ladder_factor_square(twice_spin: int, twice_m: int) -> int:
@@ -119,9 +119,7 @@ def oracle_expansion(
         if abs(amp / norm) > PRUNE_THRESHOLD
     )
     cleaned.reverse()  # descending lexicographic, matching enumerate_basis
-    return DickeExpansion(
-        species, n_particles, twice_j, twice_m, tuple(cleaned)
-    )
+    return DickeExpansion(species, n_particles, twice_m, tuple(cleaned))
 
 
 def total_spin_expectation(x: DickeExpansion) -> float:

@@ -1,14 +1,17 @@
-"""Dense linear algebra for tiny real symmetric matrices (dim <= 9).
+"""Eigenvalues of tiny real symmetric matrices (dim <= 9).
 
 A cyclic Jacobi rotation sweep is all that is needed at these sizes and
-keeps the package free of numerical dependencies.  Convergence is declared
-when the off-diagonal Frobenius norm drops below 1e-13, with a hard cap of
-50 sweeps.
+keeps the package free of numerical dependencies; the rotations update the
+matrix only, since no eigenvectors are returned.  Convergence is declared
+when the off-diagonal Frobenius norm drops below 1e-13 * max(1, largest
+|entry|), which is 1e-13 for every matrix the package builds; a matrix
+still above it after 50 sweeps raises ArithmeticError.
+`symmetric_eigenvalues` is the checked entry point.
 """
 
 from __future__ import annotations
 
-from math import sqrt
+from math import isfinite, sqrt
 
 Matrix = list[list[float]]
 
@@ -28,32 +31,19 @@ def off_diagonal_norm(a: Matrix) -> float:
     )
 
 
-def _check_symmetric(a: Matrix) -> None:
+def jacobi_eigh(a: Matrix) -> list[float]:
+    """Ascending eigenvalues of a real symmetric matrix, unchecked."""
     n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix is not square")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(a[i][j] - a[j][i]) > SYMMETRY_TOLERANCE:
-                raise ValueError(
-                    f"matrix is not symmetric: |a[{i}][{j}] - a[{j}][{i}]| = "
-                    f"{abs(a[i][j] - a[j][i]):.3e}"
-                )
-
-
-def jacobi_eigh(a: Matrix) -> tuple[list[float], Matrix]:
-    """Eigendecomposition of a real symmetric matrix.
-
-    Returns (eigenvalues ascending, eigenvector matrix V with V[:][k] the
-    column for eigenvalue k), so A = V diag(w) V^T.
-    """
-    _check_symmetric(a)
-    n = len(a)
+    largest = max((abs(x) for row in a for x in row), default=0.0)
+    threshold = OFF_DIAGONAL_TOLERANCE * max(1.0, largest)
     a = [row[:] for row in a]
-    v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    for _ in range(MAX_SWEEPS):
-        if off_diagonal_norm(a) < OFF_DIAGONAL_TOLERANCE:
-            break
+    sweeps = 0
+    while not off_diagonal_norm(a) < threshold:
+        if sweeps == MAX_SWEEPS:
+            raise ArithmeticError(
+                f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps"
+            )
+        sweeps += 1
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p][q]
@@ -73,28 +63,24 @@ def jacobi_eigh(a: Matrix) -> tuple[list[float], Matrix]:
                     apk, aqk = a[p][k], a[q][k]
                     a[p][k] = c * apk - s * aqk
                     a[q][k] = s * apk + c * aqk
-                for k in range(n):
-                    vkp, vkq = v[k][p], v[k][q]
-                    v[k][p] = c * vkp - s * vkq
-                    v[k][q] = s * vkp + c * vkq
-    order = sorted(range(n), key=lambda i: a[i][i])
-    values = [a[i][i] for i in order]
-    vectors = [[v[i][k] for k in order] for i in range(n)]
-    return values, vectors
+    return sorted(a[i][i] for i in range(n))
 
 
 def symmetric_eigenvalues(a: Matrix) -> list[float]:
-    """All eigenvalues of a real symmetric matrix, ascending."""
-    values, _ = jacobi_eigh(a)
-    return values
+    """All eigenvalues of a real symmetric matrix, ascending.
 
-
-def reconstruction_residual(a: Matrix, values: list[float], vectors: Matrix) -> float:
-    """Max-norm of V diag(w) V^T - A, for solver self-checks."""
+    Raises ValueError unless `a` is square, finite and symmetric.
+    """
     n = len(a)
-    worst = 0.0
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
+    if not all(isfinite(x) for row in a for x in row):
+        raise ValueError("matrix has a non-finite entry")
     for i in range(n):
-        for j in range(n):
-            rebuilt = sum(vectors[i][k] * values[k] * vectors[j][k] for k in range(n))
-            worst = max(worst, abs(rebuilt - a[i][j]))
-    return worst
+        for j in range(i + 1, n):
+            if abs(a[i][j] - a[j][i]) > SYMMETRY_TOLERANCE:
+                raise ValueError(
+                    f"matrix is not symmetric: |a[{i}][{j}] - a[{j}][{i}]| = "
+                    f"{abs(a[i][j] - a[j][i]):.3e}"
+                )
+    return jacobi_eigh(a)

@@ -3,11 +3,15 @@ import io
 import json
 import xml.etree.ElementTree as ET
 from math import sqrt
+from pathlib import Path
 
 import pytest
 
 from dicke import SpinSpecies, dicke_expansion
 from dicke.cli import main
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 
 
 def run(argv, capsys):
@@ -265,6 +269,41 @@ def test_negativity_sweep_rejects_too_few_particles(capsys):
         assert "particles" in err
 
 
+@pytest.mark.parametrize("state", ["bg:1,2,3", "psie:0.1,0.2", "bg:"])
+def test_negativity_rejects_parameters_of_fixed_states(state, capsys):
+    code, out, err = run(["negativity", "--state", state], capsys)
+    assert code == 2
+    assert out == ""
+    assert "parameters" in err
+
+
+def test_negativity_rejects_parameters_of_families(capsys):
+    code, out, err = run(
+        ["negativity", "--state", "dicke:7", "--n", "5", "--m", "1"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "parameters" in err
+
+
+@pytest.mark.parametrize("extra", [["--n", "5"], ["--m", "1"]])
+def test_negativity_rejects_n_and_m_for_named_states(extra, capsys):
+    code, out, err = run(["negativity", "--state", "bg"] + extra, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_negativity_sweep_rejects_m(capsys):
+    code, out, err = run(
+        ["negativity", "--state", "dicke", "--n", "10", "--m", "1", "--sweep"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "--sweep" in err
+
+
 @pytest.mark.parametrize("params", ["nan,nan", "nan,1", "inf,0"])
 def test_negativity_rejects_non_finite_parameters(params, capsys):
     code, out, err = run(["negativity", "--state", f"psi1:{params}"], capsys)
@@ -306,6 +345,18 @@ def test_figures_output_is_byte_identical(tmp_path, capsys):
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
         ).read_bytes()
+    for name in ("fig1.csv", "fig2_n30.csv", "fig2_n80.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (GOLDEN / name).read_bytes()
+    code, out, _ = run(["negativity", "--state", "psie"], capsys)
+    assert code == 0
+    assert out == (GOLDEN / "negativity_psie.txt").read_text(encoding="utf-8")
+    for family in ("dicke", "equal"):
+        code, out, _ = run(
+            ["negativity", "--state", family, "--n", "80", "--sweep"], capsys
+        )
+        assert code == 0
+        golden = GOLDEN / f"negativity_{family}_n80.csv"
+        assert out == golden.read_text(encoding="utf-8")
 
 
 def test_plot_renders_a_sweep_csv(tmp_path, capsys):

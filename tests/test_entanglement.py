@@ -49,7 +49,7 @@ def mixed_state(rng, n_pure=3):
         for i in range(9):
             for j in range(9):
                 entries[i][j] += (w / total) * vec[i] * vec[j]
-    rho = TwoQuditDensity(3, tuple(tuple(row) for row in entries))
+    rho = TwoQuditDensity(tuple(tuple(row) for row in entries))
     rho.validate()
     return rho
 
@@ -96,7 +96,7 @@ def test_partial_transpose_leaves_diagonal_matrices_alone():
     entries = [[0.0] * 9 for _ in range(9)]
     for i, w in enumerate((0.3, 0.2, 0.1, 0.1, 0.05, 0.05, 0.05, 0.1, 0.05)):
         entries[i][i] = w
-    rho = TwoQuditDensity(3, tuple(tuple(r) for r in entries))
+    rho = TwoQuditDensity(tuple(tuple(r) for r in entries))
     assert partial_transpose(rho) == rho.matrix()
 
 
@@ -106,7 +106,7 @@ def test_partial_transpose_is_an_involution():
         rho = mixed_state(rng)
         once = partial_transpose(rho)
         twice = partial_transpose(
-            TwoQuditDensity(3, tuple(tuple(row) for row in once))
+            TwoQuditDensity(tuple(tuple(row) for row in once))
         )
         assert max(
             abs(twice[i][j] - rho.entries[i][j]) for i in range(9) for j in range(9)
@@ -345,7 +345,7 @@ def test_density_checks_reject_non_finite_input(bad):
     entries[0][0] = 1.0
     entries[1][2] = entries[2][1] = bad
     with pytest.raises(DomainError):
-        TwoQuditDensity(3, tuple(tuple(row) for row in entries)).validate()
+        TwoQuditDensity(tuple(tuple(row) for row in entries)).validate()
 
 
 def test_sweep_shape_violation_detector():

@@ -108,7 +108,7 @@ def test_total_spin_expectation_flags_perturbed_states():
     terms[occ] += 0.05
     norm = sqrt(sum(a * a for a in terms.values()))
     perturbed = DickeExpansion(
-        SPIN_ONE, 6, 12, 2,
+        SPIN_ONE, 6, 2,
         tuple((o, a / norm) for o, a in terms.items()),
     )
     expected = 6 * 7.0  # sN (sN + 1)

@@ -2,7 +2,7 @@
 valid magnetization, half-integer and negative ones included."""
 
 from fractions import Fraction
-from math import isclose
+from math import comb, isclose
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +14,12 @@ from dicke import (
     enumerate_basis,
     mirror,
 )
-from dicke.coefficients import WEIGHT_VARIANTS, _walk, exact_coefficient_squares
+from dicke.coefficients import (
+    WEIGHT_VARIANTS,
+    _level_weight_squares,
+    _walk,
+    exact_coefficient_squares,
+)
 
 
 def _with_magnetization(species_and_n):
@@ -56,7 +61,10 @@ def test_enumeration_equals_brute_force(state):
 @given(STATES, st.sampled_from(WEIGHT_VARIANTS))
 def test_walk_numerators_equal_the_per_vector_formula(state, variant):
     species, n, twice_m = state
-    basis, denominator, numerators = _walk(species, n, twice_m, variant)
+    basis, numerators = _walk(species, n, twice_m, variant)
+    _, scale = _level_weight_squares(species, variant)
+    twice_j = species.twice_spin * n
+    denominator = comb(twice_j, (twice_j - abs(twice_m)) // 2) * scale**n
     for occ, p in zip(basis, numerators):
         assert Fraction(p, denominator) == coefficient_square(
             species, n, twice_m, occ, variant
