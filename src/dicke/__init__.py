@@ -16,6 +16,7 @@ from .antisym import (
 from .basis import (
     EnumerationParams,
     OccupationVector,
+    basis_size,
     enumerate_basis,
     enumeration_bounds,
     mirror,
@@ -84,6 +85,7 @@ __all__ = [
     "antisym_count",
     "apply_lowering",
     "apply_raising",
+    "basis_size",
     "brute_force_rdm",
     "closed_form_coefficient",
     "coefficient_square",

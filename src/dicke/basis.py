@@ -7,7 +7,8 @@ conservation laws
     sum_m n_m = N          and          sum_m m * n_m = M.
 
 `enumerate_basis` solves this Diophantine system directly and is the
-authoritative enumeration.  `enumeration_bounds`, `parametric_count` and
+authoritative enumeration; `basis_size` counts its vectors without
+building them.  `enumeration_bounds`, `parametric_count` and
 `parametric_basis` transcribe an alternative bound/index parametrization of
 the same bases; it is retained verbatim as a cross-check because it does not
 reproduce the direct enumeration everywhere (the `basis` CLI reports both
@@ -73,6 +74,33 @@ def enumerate_basis(
 
     recurse(0, n_particles, twice_m, ())
     return out
+
+
+def lowering_depth_sizes(
+    species: SpinSpecies, n_particles: int, depth: int
+) -> list[int]:
+    """Basis sizes at M = J - k for k = 0 .. depth.
+
+    Lowering by k moves k quanta down the 2s + 1 levels, so the vectors at
+    M = J - k are the partitions of k into at most 2s parts of at most N
+    each: the q^k coefficient of the Gaussian binomial [N + 2s choose 2s]_q,
+    built here as prod_i (1 - q^(N+i)) / (1 - q^i) truncated at q^depth.
+    """
+    sizes = [1] + [0] * depth
+    for i in range(1, species.twice_spin + 1):
+        for k in range(depth, n_particles + i - 1, -1):  # times 1 - q^(N+i)
+            sizes[k] -= sizes[k - n_particles - i]
+        for k in range(i, depth + 1):  # over 1 - q^i
+            sizes[k] += sizes[k - i]
+    return sizes
+
+
+def basis_size(species: SpinSpecies, n_particles: int, twice_m: int) -> int:
+    """len(enumerate_basis(species, n_particles, twice_m)), without
+    enumerating; the basis at M is the mirror image of the one at -M."""
+    check_domain(species, n_particles, twice_m)
+    depth = (species.twice_spin * n_particles - abs(twice_m)) // 2
+    return lowering_depth_sizes(species, n_particles, depth)[depth]
 
 
 def mirror(occ: OccupationVector) -> OccupationVector:

@@ -2,9 +2,9 @@
 
 Subcommands: basis, expand, oracle, verify-tables, antisym, negativity,
 figures, plot.  Exit codes: 0 success, 2 usage, domain or malformed-input
-error, 3 missing data file or other I/O failure, 4 violated shape or
-consistency property.  All output is UTF-8 with LF line endings; CSV uses
-',' separators and '.' decimal points.
+error or an input past a size cap, 3 missing data file or other I/O
+failure, 4 violated shape or consistency property.  All output is UTF-8
+with LF line endings; CSV uses ',' separators and '.' decimal points.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from math import isfinite
 
 from . import entanglement, svg
 from .antisym import enumerate_all_antisym
-from .basis import enumerate_basis, parametric_count
+from .basis import basis_size, enumerate_basis, parametric_count
 from .coefficients import WEIGHT_VARIANTS, DickeExpansion, dicke_expansion
 from .entanglement import (
     SWEEP_FAMILIES,
@@ -29,12 +29,18 @@ from .entanglement import (
     negativity_sweep,
     sweep_shape_violations,
 )
-from .ladder import oracle_expansion
+from .ladder import chain_vectors, oracle_expansion
 from .species import DomainError, SpinSpecies, parse_twice, twice_to_str
 from .tables import TABLE_TOLERANCE, verify_tables
 
 FIGURE_PARTICLE_COUNTS = range(20, 81, 10)
 COMPARISON_PARTICLE_COUNTS = (30, 80)
+#: most occupation vectors `basis` and `expand` build, about 2 s and 200 MB
+#: (spin 2 at N = 200, M = 0 has 230,673; at N = 400 it has 1,811,345)
+BASIS_CAP = 250_000
+#: most vectors the `oracle` chain may hold summed over its steps, 6-10 s
+#: (spin 2 at N = 60, M = 0 walks 321,081; spin 1 at N = 2400, 1,442,401)
+CHAIN_CAP = 5_000_000
 
 
 def console_main() -> None:
@@ -141,6 +147,11 @@ def _parse_state_args(args) -> tuple[SpinSpecies, int, int]:
     return species, args.n, parse_twice(args.m)
 
 
+def _refuse_past_cap(what: str, size: int, cap: int) -> None:
+    if size > cap:
+        raise DomainError(f"{what} of {size:,} vectors is past the CLI cap of {cap:,}")
+
+
 def _write_csv(
     header: list[str], rows: list[list[str]], path: str | None = None
 ) -> None:
@@ -162,6 +173,7 @@ def _print_json(payload: dict) -> None:
 
 def _cmd_basis(args) -> int:
     species, n, tm = _parse_state_args(args)
+    _refuse_past_cap("basis", basis_size(species, n, tm), BASIS_CAP)
     vectors = enumerate_basis(species, n, tm)
     formula_count = parametric_count(species, n, tm)
     if args.format == "json":
@@ -216,12 +228,14 @@ def _emit_expansion(args, x: DickeExpansion) -> None:
 
 def _cmd_expand(args) -> int:
     species, n, tm = _parse_state_args(args)
+    _refuse_past_cap("basis", basis_size(species, n, tm), BASIS_CAP)
     _emit_expansion(args, dicke_expansion(species, n, tm))
     return 0
 
 
 def _cmd_oracle(args) -> int:
     species, n, tm = _parse_state_args(args)
+    _refuse_past_cap("lowering chain", chain_vectors(species, n, tm), CHAIN_CAP)
     oracle = oracle_expansion(species, n, tm)
     _emit_expansion(args, oracle)
     if args.diff_closed_form:

@@ -76,8 +76,11 @@ class TwoQuditDensity:
         return [list(row) for row in self.entries]
 
     def validate(self) -> None:
-        """Trace and PSD checks; `symmetric_eigenvalues` checks the rest."""
+        """Shape, trace and PSD checks; `symmetric_eigenvalues` checks the
+        rest."""
         m = self.matrix()
+        if len(m) != 9 or any(len(row) != 9 for row in m):
+            raise DomainError("a two-qutrit density matrix must be 9x9")
         trace = sum(m[i][i] for i in range(len(m)))
         if not abs(trace - 1.0) <= TRACE_TOLERANCE:
             raise DomainError(f"trace is {trace!r}, not 1")
@@ -108,6 +111,8 @@ def _as_density(entries: Matrix) -> TwoQuditDensity:
 
 def density_of(state: StateVector) -> TwoQuditDensity:
     """Projector onto a normalized pure two-qutrit state."""
+    if len(state) != 9:
+        raise DomainError(f"a two-qutrit state has 9 components, not {len(state)}")
     norm_sq = sum(a * a for a in state)
     if not abs(norm_sq - 1.0) <= 1e-10:
         raise DomainError(f"state vector norm^2 is {norm_sq!r}, not 1")

@@ -12,6 +12,16 @@ and contributions landing on the same occupation vector are merged before
 anything is normalized.  Because every Dicke amplitude in this basis is the
 positive square root of a rational, an exact mode tracks squared amplitudes
 as big rationals and certifies the floating-point chain on small systems.
+
+Every walk runs on packed keys: level i of an occupation vector holds bits
+[i*w, (i+1)*w) of one integer, with w = N.bit_length(), so a move is one
+integer addition and reading a count is a shift and a mask.  The kernel
+`_step` takes the same sources in the same order, tries the same moves in
+the same order and does the same float operations as a walk over tuples,
+so every amplitude and the order of every dict are those of the tuple
+walk.  Keys are unpacked to tuples only at the boundary: once at the end of
+a chain, and around each call of the public `apply_lowering` /
+`apply_raising`, which keep tuple keys.
 """
 
 from __future__ import annotations
@@ -22,9 +32,9 @@ from functools import cache
 from math import isqrt, sqrt
 from typing import Iterator
 
-from .basis import OccupationVector, check_domain
+from .basis import OccupationVector, check_domain, lowering_depth_sizes
 from .coefficients import DickeExpansion
-from .species import SpinSpecies
+from .species import DomainError, SpinSpecies
 
 PRUNE_THRESHOLD = 1e-14
 
@@ -46,38 +56,61 @@ def highest_weight(species: SpinSpecies, n_particles: int) -> DickeExpansion:
     return DickeExpansion(species, n_particles, twice_j, ((occ, 1.0),))
 
 
-def _ladder_factor_square(twice_spin: int, twice_m: int) -> int:
-    """(s + m)(s - m + 1) as an integer, for lowering out of level m."""
-    return ((twice_spin + twice_m) // 2) * ((twice_spin - twice_m) // 2 + 1)
+PackedMove = tuple[int, int, int, int]  # (f2, source shift, target shift, key delta)
 
 
 @cache
-def _moves(species: SpinSpecies, lowering: bool) -> tuple[tuple[int, int, int], ...]:
-    """(source level, target level, ladder factor^2) of every single-particle
-    move of J- (lowering) or J+, with levels indexed as in the occupation
-    vector; raising out of level m carries (s - m)(s + m + 1)."""
-    levels = species.twice_levels
+def _moves(species: SpinSpecies, width: int, lowering: bool) -> tuple[PackedMove, ...]:
+    """Every single-particle move of J- (lowering) or J+ on keys whose
+    levels are `width` bits wide, in level order: the ladder factor^2,
+    (s + m)(s - m + 1) for lowering out of level m and (s - m)(s + m + 1)
+    for raising, the shifts of the source and target counts, and the
+    change of the key."""
+    twice_spin = species.twice_spin
     step = 1 if lowering else -1
-    sources = range(len(levels) - 1) if lowering else range(1, len(levels))
-    return tuple(
-        (i, i + step, _ladder_factor_square(species.twice_spin, step * levels[i]))
-        for i in sources
-    )
+    moves = []
+    for i, twice_m in enumerate(species.twice_levels):
+        if 0 <= i + step <= twice_spin:
+            tm = step * twice_m  # raising out of m is lowering out of -m
+            f2 = (twice_spin + tm) // 2 * ((twice_spin - tm) // 2 + 1)
+            src, dst = width * i, width * (i + step)
+            moves.append((f2, src, dst, (1 << dst) - (1 << src)))
+    return tuple(moves)
+
+
+def _step(
+    terms: dict[int, float], moves: tuple[PackedMove, ...], mask: int
+) -> dict[int, float]:
+    """One collective J- or J+ application on packed keys; merges coincident
+    vectors in the order a tuple walk would."""
+    out: dict[int, float] = {}
+    for key, amp in terms.items():
+        for f2, src, dst, delta in moves:
+            a = key >> src & mask
+            if a:
+                moved = key + delta
+                factor = sqrt(f2 * a * ((key >> dst & mask) + 1))
+                out[moved] = out.get(moved, 0.0) + amp * factor
+    return out
+
+
+def _unpack(key: int, width: int, n_levels: int) -> OccupationVector:
+    mask = (1 << width) - 1
+    return tuple(key >> width * i & mask for i in range(n_levels))
 
 
 def _apply(x: DickeExpansion | RawExpansion, lowering: bool) -> RawExpansion:
-    moves = _moves(x.species, lowering)
-    out: dict[OccupationVector, float] = {}
-    for occ, amp in dict(x.terms).items():
-        for src, dst, f2 in moves:
-            if occ[src]:
-                moved = list(occ)
-                moved[src] -= 1
-                moved[dst] += 1
-                key = tuple(moved)
-                factor = sqrt(f2 * occ[src] * (occ[dst] + 1))
-                out[key] = out.get(key, 0.0) + amp * factor
-    return RawExpansion(x.species, x.n_particles, out)
+    species, n = x.species, x.n_particles
+    width = n.bit_length()
+    packed: dict[int, float] = {}
+    for occ, amp in x.terms.items() if isinstance(x.terms, dict) else x.terms:
+        if len(occ) != species.n_levels or min(occ) < 0 or sum(occ) != n:
+            raise DomainError(f"{occ} is not an occupation vector of {n} particles")
+        packed[sum(c << width * i for i, c in enumerate(occ))] = amp
+    out = _step(packed, _moves(species, width, lowering), (1 << width) - 1)
+    return RawExpansion(
+        species, n, {_unpack(k, width, species.n_levels): a for k, a in out.items()}
+    )
 
 
 def apply_lowering(x: DickeExpansion | RawExpansion) -> RawExpansion:
@@ -97,6 +130,15 @@ def _lowering_steps(twice_j: int, twice_m: int) -> Iterator[int]:
         yield ((twice_j + tm) // 2) * ((twice_j - tm) // 2 + 1)
 
 
+def chain_vectors(species: SpinSpecies, n_particles: int, twice_m: int) -> int:
+    """Occupation vectors held by the lowering chain from |J, J> down to
+    |J, M>, summed over its steps: the work of `oracle_expansion`, sized
+    without running it (every vector of each intermediate basis is hit)."""
+    check_domain(species, n_particles, twice_m)
+    depth = (species.twice_spin * n_particles - twice_m) // 2
+    return sum(lowering_depth_sizes(species, n_particles, depth))
+
+
 def oracle_expansion(
     species: SpinSpecies, n_particles: int, twice_m: int
 ) -> DickeExpansion:
@@ -107,15 +149,19 @@ def oracle_expansion(
     """
     check_domain(species, n_particles, twice_m)
     twice_j = species.twice_spin * n_particles
-    terms = dict(highest_weight(species, n_particles).terms)
+    width = n_particles.bit_length()
+    mask = (1 << width) - 1
+    moves = _moves(species, width, lowering=True)
+    terms = {n_particles: 1.0}  # |J, J>: every particle in level 0
     for step in _lowering_steps(twice_j, twice_m):
-        lowered = apply_lowering(RawExpansion(species, n_particles, terms))
+        terms = _step(terms, moves, mask)
         divisor = sqrt(step)
-        terms = {occ: amp / divisor for occ, amp in lowered.terms.items()}
+        for key, amp in terms.items():
+            terms[key] = amp / divisor
     norm = sqrt(sum(a * a for a in terms.values()))
     cleaned = sorted(
-        (occ, amp / norm)
-        for occ, amp in terms.items()
+        (_unpack(key, width, species.n_levels), amp / norm)
+        for key, amp in terms.items()
         if abs(amp / norm) > PRUNE_THRESHOLD
     )
     cleaned.reverse()  # descending lexicographic, matching enumerate_basis
@@ -171,19 +217,19 @@ def oracle_squares_exact(
     for small N (cost grows with the chain length and basis size).
     """
     check_domain(species, n_particles, twice_m)
-    moves = _moves(species, lowering=True)
-    occ0 = (n_particles,) + (0,) * species.twice_spin
-    squares: dict[OccupationVector, Fraction] = {occ0: Fraction(1)}
+    width = n_particles.bit_length()
+    mask = (1 << width) - 1
+    moves = _moves(species, width, lowering=True)
+    squares: dict[int, Fraction] = {n_particles: Fraction(1)}
     for step in _lowering_steps(species.twice_spin * n_particles, twice_m):
-        nxt: dict[OccupationVector, Fraction] = {}
-        for occ, q in squares.items():
-            for src, dst, f2 in moves:
-                if occ[src]:
-                    moved = list(occ)
-                    moved[src] -= 1
-                    moved[dst] += 1
-                    key = tuple(moved)
-                    contrib = q * f2 * occ[src] * (occ[dst] + 1) / step
-                    nxt[key] = _add_with_common_radical(nxt.get(key, Fraction(0)), contrib)
+        nxt: dict[int, Fraction] = {}
+        for key, q in squares.items():
+            for f2, src, dst, delta in moves:
+                a = key >> src & mask
+                if a:
+                    moved = key + delta
+                    contrib = q * f2 * a * ((key >> dst & mask) + 1) / step
+                    before = nxt.get(moved, Fraction(0))
+                    nxt[moved] = _add_with_common_radical(before, contrib)
         squares = nxt
-    return squares
+    return {_unpack(k, width, species.n_levels): q for k, q in squares.items()}

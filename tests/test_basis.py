@@ -7,6 +7,7 @@ from dicke import (
     SPIN_TWO,
     DomainError,
     SpinSpecies,
+    basis_size,
     enumerate_basis,
     enumeration_bounds,
     mirror,
@@ -198,3 +199,24 @@ def test_parametric_basis_generates_only_valid_vectors():
                         == tm
                     )
                     assert occ in direct
+
+
+def test_basis_size_matches_the_enumeration():
+    for species in ALL_SPECIES:
+        for n in range(1, 25):
+            twice_j = species.twice_spin * n
+            for twice_m in range(-twice_j, twice_j + 1, 2):
+                assert basis_size(species, n, twice_m) == len(
+                    enumerate_basis(species, n, twice_m)
+                )
+
+
+def test_basis_size_of_bases_too_large_to_enumerate():
+    assert basis_size(SPIN_TWO, 60, 0) == 6786
+    assert basis_size(SPIN_ONE, 2400, 0) == 1201
+    assert basis_size(SPIN_TWO, 200, 0) == 230673
+    assert basis_size(SPIN_TWO, 400, 0) == 1811345
+    mirrored = basis_size(SPIN_THREE_HALVES, 301, -7)
+    assert mirrored == basis_size(SPIN_THREE_HALVES, 301, 7)
+    with pytest.raises(DomainError):
+        basis_size(SPIN_TWO, 400, 1601 * 2)

@@ -4,11 +4,13 @@ import json
 import xml.etree.ElementTree as ET
 from math import sqrt
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
 from dicke import SpinSpecies, dicke_expansion
-from dicke.cli import main
+import dicke.cli
+from dicke.cli import BASIS_CAP, CHAIN_CAP, main
 
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
@@ -119,6 +121,30 @@ def test_oracle_matches_expand_and_reports_deviation(capsys):
     for o_row, e_row in zip(oracle_rows, expand_rows):
         assert o_row[:4] == e_row[:4]
         assert float(o_row[4]) == pytest.approx(float(e_row[4]), abs=1e-10)
+
+
+@pytest.mark.parametrize("command", ["basis", "expand", "oracle"])
+def test_inputs_past_the_size_caps_exit_2_before_enumerating(
+    command, capsys, monkeypatch
+):
+    def unreachable(*args):
+        raise AssertionError("the basis was built")
+
+    for name in ("enumerate_basis", "dicke_expansion", "oracle_expansion"):
+        monkeypatch.setattr(dicke.cli, name, unreachable)
+    start = perf_counter()
+    code, out, err = run([command, "--spin", "2", "--n", "400", "--m", "0"], capsys)
+    assert perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "past the CLI cap" in err
+
+
+def test_size_caps_admit_the_documented_sizes():
+    species = SpinSpecies.from_str("2")
+    assert dicke.basis_size(species, 200, 0) <= BASIS_CAP
+    assert dicke.ladder.chain_vectors(species, 60, 0) <= CHAIN_CAP
+    assert dicke.ladder.chain_vectors(SpinSpecies.from_str("1"), 2400, 0) <= CHAIN_CAP
 
 
 def test_verify_tables_passes(capsys):

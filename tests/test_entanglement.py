@@ -353,3 +353,17 @@ def test_sweep_shape_violation_detector():
     assert sweep_shape_violations([(0, 0.2), (2, 0.1)]) == []
     with pytest.raises(DomainError):
         negativity_sweep("bogus", 10)
+
+
+@pytest.mark.parametrize("size", [1, 4, 8, 10])
+def test_density_checks_reject_wrong_shapes(size):
+    state = (1.0,) + (0.0,) * (size - 1)
+    with pytest.raises(DomainError):
+        density_of(state)
+    square = tuple(tuple(float(i == j == 0) for j in range(size)) for i in range(size))
+    with pytest.raises(DomainError):
+        TwoQuditDensity(square).validate()
+    ragged = [[0.0] * 9 for _ in range(9)]
+    ragged[0] = [1.0] + [0.0] * (size - 1)
+    with pytest.raises(DomainError):
+        TwoQuditDensity(tuple(tuple(row) for row in ragged)).validate()

@@ -20,7 +20,7 @@ from dicke import (
     total_spin_expectation,
 )
 from dicke.coefficients import exact_coefficient_squares
-from dicke.ladder import RawExpansion, oracle_squares_exact
+from dicke.ladder import RawExpansion, chain_vectors, oracle_squares_exact
 
 
 def test_highest_weight_states():
@@ -168,3 +168,26 @@ def test_exact_mode_certifies_the_closed_form():
 def test_exact_mode_squares_sum_to_one():
     squares = oracle_squares_exact(SPIN_TWO, 5, 2)
     assert sum(squares.values()) == Fraction(1)
+
+
+def test_walks_reject_vectors_that_are_not_occupations():
+    for occ in ((2, 1, 2), (4, 0), (5, 0, -1)):
+        with pytest.raises(DomainError):
+            apply_lowering(RawExpansion(SPIN_ONE, 4, {occ: 1.0}))
+        with pytest.raises(DomainError):
+            apply_raising(RawExpansion(SPIN_ONE, 4, {occ: 1.0}))
+
+
+def test_chain_vectors_sums_the_bases_along_the_chain():
+    for species in ALL_SPECIES:
+        for n in (1, 2, 5, 9):
+            twice_j = species.twice_spin * n
+            for twice_m in range(-twice_j, twice_j + 1, 2):
+                expected = sum(
+                    len(enumerate_basis(species, n, tm))
+                    for tm in range(twice_j, twice_m - 1, -2)
+                )
+                assert chain_vectors(species, n, twice_m) == expected
+    assert chain_vectors(SPIN_TWO, 60, 0) == 321081
+    assert chain_vectors(SPIN_ONE, 2400, 0) == 1442401
+    assert chain_vectors(SPIN_TWO, 400, 0) == 547689423
