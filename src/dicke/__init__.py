@@ -35,6 +35,7 @@ from .entanglement import (
     TwoQuditDensity,
     brute_force_rdm,
     density_of,
+    dicke_pair_reduction,
     dicke_two_particle_rdm,
     equal_probability_expansion,
     family_expansion,
@@ -91,6 +92,7 @@ __all__ = [
     "coefficient_square",
     "density_of",
     "dicke_expansion",
+    "dicke_pair_reduction",
     "dicke_two_particle_rdm",
     "elementary_antisym",
     "enumerate_all_antisym",

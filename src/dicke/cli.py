@@ -11,26 +11,26 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
+from collections.abc import Iterable
+from contextlib import nullcontext
 from math import isfinite
 
 from . import entanglement, svg
 from .antisym import enumerate_all_antisym
-from .basis import basis_size, enumerate_basis, parametric_count
+from .basis import basis_size, enumerate_basis, lowering_depth_sizes, parametric_count
 from .coefficients import WEIGHT_VARIANTS, DickeExpansion, dicke_expansion
 from .entanglement import (
     SWEEP_FAMILIES,
-    dicke_two_particle_rdm,
-    family_expansion,
+    family_pair_reduction,
     negativity,
     negativity_sweep,
     sweep_shape_violations,
 )
 from .ladder import chain_vectors, oracle_expansion
-from .species import DomainError, SpinSpecies, parse_twice, twice_to_str
+from .species import SPIN_ONE, DomainError, SpinSpecies, parse_twice, twice_to_str
 from .tables import TABLE_TOLERANCE, verify_tables
 
 FIGURE_PARTICLE_COUNTS = range(20, 81, 10)
@@ -153,18 +153,17 @@ def _refuse_past_cap(what: str, size: int, cap: int) -> None:
 
 
 def _write_csv(
-    header: list[str], rows: list[list[str]], path: str | None = None
+    header: list[str], rows: Iterable[list[str]], path: str | None = None
 ) -> None:
-    """Write CSV to `path`, or to stdout when no path is given."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    if path is None:
-        sys.stdout.write(buf.getvalue())
-        return
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(buf.getvalue())
+    """Stream CSV rows to `path`, or to stdout when no path is given."""
+    with (
+        nullcontext(sys.stdout)
+        if path is None
+        else open(path, "w", encoding="utf-8", newline="\n")
+    ) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _print_json(payload: dict) -> None:
@@ -190,7 +189,7 @@ def _cmd_basis(args) -> int:
     else:
         _write_csv(
             list(species.level_labels()),
-            [[str(c) for c in v] for v in vectors],
+            ([str(c) for c in v] for v in vectors),
         )
     if formula_count != len(vectors):
         print(
@@ -201,10 +200,8 @@ def _cmd_basis(args) -> int:
     return 0
 
 
-def _expansion_rows(x: DickeExpansion) -> list[list[str]]:
-    return [
-        [str(c) for c in occ] + [f"{amp:.17g}"] for occ, amp in x.terms
-    ]
+def _expansion_rows(x: DickeExpansion) -> Iterable[list[str]]:
+    return ([str(c) for c in occ] + [f"{amp:.17g}"] for occ, amp in x.terms)
 
 
 def _emit_expansion(args, x: DickeExpansion) -> None:
@@ -314,16 +311,21 @@ def _cmd_negativity(args) -> int:
         if args.sweep:
             if args.m is not None:
                 raise DomainError("--m and --sweep cannot be combined")
+            if name == "equal":  # bases at M = J - k for k = 0..N
+                sizes = lowering_depth_sizes(SPIN_ONE, args.n, args.n)
+                _refuse_past_cap("sweep bases", sum(sizes), BASIS_CAP)
             rows = negativity_sweep(name, args.n)
             _write_csv(
                 ["M", "negativity"],
-                [[twice_to_str(tm), f"{value:.6f}"] for tm, value in rows],
+                ([twice_to_str(tm), f"{value:.6f}"] for tm, value in rows),
             )
             return 0
         if args.m is None:
             raise DomainError(f"--m or --sweep is required for --state {name}")
-        state = family_expansion(name, args.n, parse_twice(args.m))
-        rho = dicke_two_particle_rdm(state)
+        tm = parse_twice(args.m)
+        if name == "equal":
+            _refuse_past_cap("basis", basis_size(SPIN_ONE, args.n, tm), BASIS_CAP)
+        rho = family_pair_reduction(name, args.n, tm)
     else:
         if args.sweep:
             raise DomainError(

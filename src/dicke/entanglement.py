@@ -13,19 +13,25 @@ after the partial transpose, where the pair reduction of any fixed-M
 symmetric state becomes literally block diagonal: one 3x3 block, two 2x2
 blocks and two scalars.  `PT_PERMUTATION` maps between the two orders.
 
-Negativity is always evaluated on the full 9x9 partial transpose; the block
-path (`block_negativity`) is a second route that is validated against it,
-never trusted alone.
+Negativity is always evaluated with one eigensolve of the full 9x9 partial
+transpose (which `symmetric_eigenvalues` splits along its exact zeros); the
+block path (`block_negativity`) is a second route that is validated against
+it, never trusted alone.  Dicke pair reductions are exact mixtures of the
+five two-particle J = 2 states (`dicke_pair_reduction`, O(1) in N); the
+occupation moments of an expansion (`two_body_elements`, which the
+equal-probability family uses) and the brute-force partial trace are the
+routes they are tested against.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import permutations
-from math import factorial, sqrt
+from math import comb, factorial, perm, sqrt
 
-from .basis import enumerate_basis
+from .basis import check_domain, enumerate_basis
 from .coefficients import DickeExpansion, dicke_expansion
 from .linalg import Matrix, symmetric_eigenvalues
 from .species import SPIN_ONE, DomainError, SpinSpecies
@@ -48,6 +54,12 @@ PT_BASIS: tuple[LevelPair, ...] = (
 PT_PERMUTATION: tuple[int, ...] = tuple(RHO_BASIS.index(p) for p in PT_BASIS)
 
 _INDEX = {pair: i for i, pair in enumerate(RHO_BASIS)}
+
+#: partial_transpose(rho)[r][c] == rho[i][j] for (i, j) = _PT_SOURCE[r][c]
+_PT_SOURCE: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+    tuple((_INDEX[(a, d)], _INDEX[(c, b)]) for c, d in RHO_BASIS)
+    for a, b in RHO_BASIS
+)
 
 #: index blocks of the partially transposed matrix, in PT_BASIS order
 PT_BLOCKS: tuple[tuple[str, tuple[int, ...]], ...] = (
@@ -173,12 +185,8 @@ def partial_transpose(rho: TwoQuditDensity) -> Matrix:
 
     Input and output are both indexed in RHO_BASIS order.
     """
-    m = rho.matrix()
-    out = [[0.0] * 9 for _ in range(9)]
-    for i, (a, b) in enumerate(RHO_BASIS):
-        for j, (ap, bp) in enumerate(RHO_BASIS):
-            out[_INDEX[(a, bp)]][_INDEX[(ap, b)]] = m[i][j]
-    return out
+    m = rho.entries
+    return [[m[i][j] for i, j in row] for row in _PT_SOURCE]
 
 
 def reorder_to_pt_basis(matrix: Matrix) -> Matrix:
@@ -332,21 +340,68 @@ def a2_population_form(x: DickeExpansion) -> float:
     )
 
 
+#: RHO_BASIS position (upper triangle) of each named pair-reduction element
+_ELEMENT_POSITIONS = {
+    (0, 0): "a1", (0, 1): "c1", (0, 2): "b3",
+    (1, 1): "a2", (1, 2): "c2", (2, 2): "a3",
+    (3, 3): "a4", (3, 4): "b1", (4, 4): "a5",
+    (5, 5): "a6", (5, 6): "b2", (6, 6): "a7",
+    (7, 7): "a8", (8, 8): "a9",
+}
+
+
+def _density_from_elements(e: dict[str, float]) -> TwoQuditDensity:
+    rho = [[0.0] * 9 for _ in range(9)]
+    for (i, j), key in _ELEMENT_POSITIONS.items():
+        rho[i][j] = rho[j][i] = e[key]
+    return _as_density(rho)
+
+
 def dicke_two_particle_rdm(x: DickeExpansion) -> TwoQuditDensity:
     """Two-particle reduced density matrix of a fixed-M spin-1 symmetric
     state, assembled from `two_body_elements` in RHO_BASIS order."""
-    e = two_body_elements(x)
-    rho = [[0.0] * 9 for _ in range(9)]
-    upper = {
-        (0, 0): "a1", (0, 1): "c1", (0, 2): "b3",
-        (1, 1): "a2", (1, 2): "c2", (2, 2): "a3",
-        (3, 3): "a4", (3, 4): "b1", (4, 4): "a5",
-        (5, 5): "a6", (5, 6): "b2", (6, 6): "a7",
-        (7, 7): "a8", (8, 8): "a9",
-    }
-    for (i, j), key in upper.items():
-        rho[i][j] = rho[j][i] = e[key]
-    return _as_density(rho)
+    return _density_from_elements(two_body_elements(x))
+
+
+def dicke_pair_weights(n_particles: int, twice_m: int) -> tuple[Fraction, ...]:
+    """Exact weights p_0..p_4 of the pair marginal of spin-1 |J = N, M>.
+
+    In the Majorana picture |J = N, M> is the qubit Dicke state of 2N qubits
+    with k = N - M excitations, so p_j is the hypergeometric chance that j
+    of them fall on the four qubits of two particles:
+    C(4, j) [k]_j [2N - k]_{4-j} / [2N]_4, from falling factorials [x]_j
+    rather than from C(2N, k), whose size grows with N.
+    """
+    check_domain(SPIN_ONE, n_particles, twice_m)
+    if n_particles < 2:
+        raise DomainError("pair reduction needs at least two particles")
+    q, k = 2 * n_particles, n_particles - twice_m // 2
+    return tuple(
+        Fraction(comb(4, j) * perm(k, j) * perm(q - k, 4 - j), perm(q, 4))
+        for j in range(5)
+    )
+
+
+def dicke_pair_reduction(n_particles: int, twice_m: int) -> TwoQuditDensity:
+    """Two-particle reduced density matrix of the spin-1 Dicke state
+    |J = N, M>, exact and at a cost independent of N.
+
+    The marginal is sum_j p_j |D_j><D_j| (`dicke_pair_weights`), where D_j
+    is the two-particle J = 2 state at 2M = 2(2 - j): uu, (u0 + 0u)/sqrt(2),
+    (ud + 2 00 + du)/sqrt(6), (0d + d0)/sqrt(2), dd.  Each element is one
+    exact rational rounded once.  `dicke_two_particle_rdm` of the expansion
+    and `brute_force_rdm` are the independent routes it is tested against.
+    """
+    p0, p1, p2, p3, p4 = dicke_pair_weights(n_particles, twice_m)
+    half1, half3 = float(p1 / 2), float(p3 / 2)
+    sixth2, third2 = float(p2 / 6), float(p2 / 3)
+    return _density_from_elements({
+        "a1": sixth2, "a2": float(2 * p2 / 3), "a3": sixth2,
+        "b3": sixth2, "c1": third2, "c2": third2,
+        "a4": half1, "a5": half1, "b1": half1,
+        "a6": half3, "a7": half3, "b2": half3,
+        "a8": float(p0), "a9": float(p4),
+    })
 
 
 def brute_force_rdm(x: DickeExpansion) -> TwoQuditDensity:
@@ -412,6 +467,16 @@ def family_expansion(family: str, n_particles: int, twice_m: int) -> DickeExpans
     raise DomainError(f"unknown state family {family!r}")
 
 
+def family_pair_reduction(
+    family: str, n_particles: int, twice_m: int
+) -> TwoQuditDensity:
+    """Pair reduction of a sweep family member: the exact mixture for Dicke
+    states, the occupation moments of the expansion for the others."""
+    if family == "dicke":
+        return dicke_pair_reduction(n_particles, twice_m)
+    return dicke_two_particle_rdm(family_expansion(family, n_particles, twice_m))
+
+
 def negativity_sweep(
     family: str,
     n_particles: int,
@@ -426,11 +491,10 @@ def negativity_sweep(
         raise DomainError("pair reduction needs at least two particles")
     if twice_m_values is None:
         twice_m_values = list(range(0, 2 * n_particles + 1, 2))
-    rows = []
-    for tm in sorted(twice_m_values):
-        state = family_expansion(family, n_particles, tm)
-        rows.append((tm, negativity(dicke_two_particle_rdm(state)).value))
-    return rows
+    return [
+        (tm, negativity(family_pair_reduction(family, n_particles, tm)).value)
+        for tm in sorted(twice_m_values)
+    ]
 
 
 def sweep_shape_violations(rows: list[tuple[int, float]]) -> list[str]:

@@ -6,11 +6,17 @@ matrix only, since no eigenvectors are returned.  Convergence is declared
 when the off-diagonal Frobenius norm drops below 1e-13 * max(1, largest
 |entry|), which is 1e-13 for every matrix the package builds; a matrix
 still above it after 50 sweeps raises ArithmeticError.
-`symmetric_eigenvalues` is the checked entry point.
+
+`symmetric_eigenvalues` is the checked entry point.  After its input checks
+it splits the matrix into the connected components of its nonzero pattern,
+over which the matrix is exactly block diagonal, and diagonalizes each
+component alone; the pair reduction of a fixed-M state and its partial
+transpose fall into blocks of at most 3x3.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import isfinite, sqrt
 
 Matrix = list[list[float]]
@@ -34,7 +40,7 @@ def off_diagonal_norm(a: Matrix) -> float:
 def jacobi_eigh(a: Matrix) -> list[float]:
     """Ascending eigenvalues of a real symmetric matrix, unchecked."""
     n = len(a)
-    largest = max((abs(x) for row in a for x in row), default=0.0)
+    largest = max(map(abs, chain.from_iterable(a)), default=0.0)
     threshold = OFF_DIAGONAL_TOLERANCE * max(1.0, largest)
     a = [row[:] for row in a]
     sweeps = 0
@@ -69,18 +75,36 @@ def jacobi_eigh(a: Matrix) -> list[float]:
 def symmetric_eigenvalues(a: Matrix) -> list[float]:
     """All eigenvalues of a real symmetric matrix, ascending.
 
-    Raises ValueError unless `a` is square, finite and symmetric.
+    Raises ValueError unless `a` is square, finite and symmetric.  The
+    matrix is block diagonal over the connected components of the nonzero
+    pattern of its upper triangle, so each component is solved on its own:
+    a 1x1 component is its diagonal entry, any larger one goes to
+    `jacobi_eigh` with its indices in their original order.
     """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix is not square")
-    if not all(isfinite(x) for row in a for x in row):
+    if not all(map(isfinite, chain.from_iterable(a))):
         raise ValueError("matrix has a non-finite entry")
-    for i in range(n):
+    label = list(range(n))  # component of each index
+    for i, row in enumerate(a):
         for j in range(i + 1, n):
-            if abs(a[i][j] - a[j][i]) > SYMMETRY_TOLERANCE:
+            aij = row[j]
+            if abs(aij - a[j][i]) > SYMMETRY_TOLERANCE:
                 raise ValueError(
                     f"matrix is not symmetric: |a[{i}][{j}] - a[{j}][{i}]| = "
-                    f"{abs(a[i][j] - a[j][i]):.3e}"
+                    f"{abs(aij - a[j][i]):.3e}"
                 )
-    return jacobi_eigh(a)
+            if aij != 0.0 and label[j] != label[i]:
+                merged, kept = label[j], label[i]
+                label = [kept if x == merged else x for x in label]
+    components: dict[int, list[int]] = {}
+    for i, component in enumerate(label):
+        components.setdefault(component, []).append(i)
+    eigenvalues = []
+    for idxs in components.values():
+        if len(idxs) == 1:
+            eigenvalues.append(a[idxs[0]][idxs[0]])
+        else:
+            eigenvalues += jacobi_eigh([[a[i][j] for j in idxs] for i in idxs])
+    return sorted(eigenvalues)

@@ -140,6 +140,30 @@ def test_inputs_past_the_size_caps_exit_2_before_enumerating(
     assert "past the CLI cap" in err
 
 
+@pytest.mark.parametrize("extra", [["--m", "0"], ["--sweep"]])
+def test_equal_family_past_the_basis_cap_exits_2_before_enumerating(
+    extra, capsys, monkeypatch
+):
+    def unreachable(*args):
+        raise AssertionError("the basis was built")
+
+    monkeypatch.setattr(dicke.entanglement, "enumerate_basis", unreachable)
+    code, out, err = run(
+        ["negativity", "--state", "equal", "--n", "1000000", *extra], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "past the CLI cap" in err
+
+
+def test_dicke_family_point_at_a_million_particles(capsys):
+    code, out, _ = run(
+        ["negativity", "--state", "dicke", "--n", "1000000", "--m", "0"], capsys
+    )
+    assert code == 0
+    assert out == "0.000001\n"
+
+
 def test_size_caps_admit_the_documented_sizes():
     species = SpinSpecies.from_str("2")
     assert dicke.basis_size(species, 200, 0) <= BASIS_CAP

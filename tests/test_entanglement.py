@@ -1,5 +1,6 @@
 import random
-from math import sqrt
+from fractions import Fraction
+from math import comb, sqrt
 
 import pytest
 
@@ -10,6 +11,7 @@ from dicke import (
     brute_force_rdm,
     density_of,
     dicke_expansion,
+    dicke_pair_reduction,
     dicke_two_particle_rdm,
     equal_probability_expansion,
     family_expansion,
@@ -28,6 +30,7 @@ from dicke.entanglement import (
     TwoQuditDensity,
     a2_population_form,
     block_negativity,
+    dicke_pair_weights,
     has_pair_reduction_block_structure,
     random_pure_state,
     reorder_to_pt_basis,
@@ -212,6 +215,57 @@ def test_rdm_matches_brute_force_for_all_m(n):
                 for i in range(9)
                 for j in range(9)
             ) <= 1e-10
+
+
+def max_entry_difference(rho, sigma):
+    return max(
+        abs(rho.entries[i][j] - sigma.entries[i][j])
+        for i in range(9)
+        for j in range(9)
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_mixture_route_matches_both_oracles(n):
+    for tm in range(-2 * n, 2 * n + 1, 2):
+        expansion = dicke_expansion(SPIN_ONE, n, tm)
+        mixture = dicke_pair_reduction(n, tm)
+        assert max_entry_difference(mixture, dicke_two_particle_rdm(expansion)) <= 1e-15
+        assert max_entry_difference(mixture, brute_force_rdm(expansion)) <= 1e-10
+
+
+def test_mixture_and_moment_routes_agree_up_to_n80():
+    for n in range(2, 81):
+        for tm in range(-2 * n, 2 * n + 1, 2):
+            moments = dicke_two_particle_rdm(dicke_expansion(SPIN_ONE, n, tm))
+            assert max_entry_difference(dicke_pair_reduction(n, tm), moments) <= 1e-15
+
+
+def test_falling_factorial_weights_are_the_hypergeometric_law():
+    for n in range(2, 12):
+        for tm in range(-2 * n, 2 * n + 1, 2):
+            k = n - tm // 2
+            weights = dicke_pair_weights(n, tm)
+            assert weights == tuple(
+                Fraction(comb(4, j) * comb(2 * n - 4, k - j), comb(2 * n, k))
+                if 0 <= k - j <= 2 * n - 4
+                else Fraction(0)
+                for j in range(5)
+            )
+            assert sum(weights) == 1
+
+
+def test_mixture_route_at_a_million_particles():
+    n = 10**6
+    rho = dicke_pair_reduction(n, 0)
+    rho.validate()
+    assert abs(n * negativity(rho).value - 0.5) < 1e-3
+
+
+@pytest.mark.parametrize("n, tm", [(0, 0), (1, 0), (3, 8), (3, 1), (-2, 0)])
+def test_mixture_route_rejects_states_without_a_pair(n, tm):
+    with pytest.raises(DomainError):
+        dicke_pair_reduction(n, tm)
 
 
 def test_brute_force_rdm_rejects_large_systems():

@@ -2,9 +2,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dicke import linalg
-from dicke.linalg import symmetric_eigenvalues
+from dicke.linalg import jacobi_eigh, symmetric_eigenvalues
 
 
 def random_symmetric(rng, n):
@@ -88,3 +90,72 @@ def test_large_entries_converge_to_relative_precision():
         ours = symmetric_eigenvalues(m)
         reference = np.linalg.eigvalsh(np.array(m))
         assert max(abs(a - b) for a, b in zip(ours, reference)) < 1e-12 * scale
+
+
+def _direct_sum(blocks):
+    n = sum(len(b) for b in blocks)
+    m = [[0.0] * n for _ in range(n)]
+    start = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            for j, x in enumerate(row):
+                m[start + i][start + j] = x
+        start += len(block)
+    return m
+
+
+def _permuted(m, order):
+    return [[m[i][j] for j in order] for i in order]
+
+
+def _symmetric_block(size):
+    return st.lists(
+        st.floats(-1.0, 1.0), min_size=size * (size + 1) // 2,
+        max_size=size * (size + 1) // 2,
+    ).map(lambda xs: _fill_symmetric(size, xs))
+
+
+def _fill_symmetric(size, xs):
+    m = [[0.0] * size for _ in range(size)]
+    it = iter(xs)
+    for i in range(size):
+        for j in range(i, size):
+            m[i][j] = m[j][i] = next(it)
+    return m
+
+
+#: 2-4 random symmetric blocks of at most 9 rows in all, and a permutation
+BLOCKS_AND_ORDER = (
+    st.lists(st.integers(1, 4), min_size=2, max_size=4)
+    .filter(lambda sizes: sum(sizes) <= 9)
+    .flatmap(
+        lambda sizes: st.tuples(
+            st.tuples(*(_symmetric_block(size) for size in sizes)),
+            st.permutations(range(sum(sizes))),
+        )
+    )
+)
+
+
+@settings(deadline=None)
+@given(BLOCKS_AND_ORDER)
+def test_component_split_matches_the_unsplit_solve(blocks_and_order):
+    blocks, order = blocks_and_order
+    m = _permuted(_direct_sum(blocks), order)
+    ours = symmetric_eigenvalues(m)
+    reference = np.linalg.eigvalsh(np.array(m))
+    assert max(abs(a - b) for a, b in zip(ours, reference)) < 1e-12
+    assert max(abs(a - b) for a, b in zip(ours, jacobi_eigh(m))) < 1e-13
+
+
+@settings(deadline=None)
+@given(BLOCKS_AND_ORDER, st.data())
+def test_nan_between_blocks_is_rejected(blocks_and_order, data):
+    blocks, order = blocks_and_order
+    m = _direct_sum(blocks)
+    # an entry coupling the first block to a later one, where all else is 0
+    i = data.draw(st.integers(0, len(blocks[0]) - 1))
+    j = data.draw(st.integers(len(blocks[0]), len(m) - 1))
+    m[i][j] = m[j][i] = float("nan")
+    with pytest.raises(ValueError):
+        symmetric_eigenvalues(_permuted(m, order))
