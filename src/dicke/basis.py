@@ -103,6 +103,36 @@ def basis_size(species: SpinSpecies, n_particles: int, twice_m: int) -> int:
     return lowering_depth_sizes(species, n_particles, depth)[depth]
 
 
+def past_cap(
+    species: SpinSpecies, n_particles: int, twice_m: int, cap: int, chain: bool = False
+) -> bool:
+    """Whether the basis at (N, M), or with `chain` the bases at M' = J,
+    J - 1, ..., M together, hold more than `cap` vectors.
+
+    Unlike `basis_size`, the sizes are not built past the depth where the
+    answer shows: the table is built to depths 64, 128, ... and stops once
+    the running sum (chain) or the last size passes `cap`.  The last size is
+    the largest so far, because the sizes rise with the depth up to J (the
+    coefficients of a Gaussian binomial are unimodal).  Spin 1/2 has one
+    vector at every depth and spin 1 has floor(k/2) + 1 at depth k <= N.
+    """
+    check_domain(species, n_particles, twice_m)
+    lowest = twice_m if chain else abs(twice_m)
+    depth = (species.twice_spin * n_particles - lowest) // 2
+    if species.twice_spin == 1:
+        return (depth + 1 if chain else 1) > cap
+    if species.twice_spin == 2 and not chain:
+        return depth // 2 + 1 > cap
+    reach = 64
+    while True:
+        sizes = lowering_depth_sizes(species, n_particles, min(reach, depth))
+        if (sum(sizes) if chain else sizes[-1]) > cap:
+            return True
+        if reach >= depth:
+            return False
+        reach *= 2
+
+
 def mirror(occ: OccupationVector) -> OccupationVector:
     """Exchange every level with its opposite (m -> -m): reverse the counts."""
     return tuple(reversed(occ))

@@ -5,33 +5,31 @@ figures, plot.  Exit codes: 0 success, 2 usage, domain or malformed-input
 error or an input past a size cap, 3 missing data file or other I/O
 failure, 4 violated shape or consistency property.  All output is UTF-8
 with LF line endings; CSV uses ',' separators and '.' decimal points.
+
+The parser needs only `species`; each command imports the layers it runs
+(and `csv` or `json` where it writes them), so a fresh interpreter loads
+nothing else.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
-import os
 import sys
-from collections.abc import Iterable
-from contextlib import nullcontext
-from math import isfinite
 
-from . import entanglement, svg
-from .antisym import enumerate_all_antisym
-from .basis import basis_size, enumerate_basis, lowering_depth_sizes, parametric_count
-from .coefficients import WEIGHT_VARIANTS, DickeExpansion, dicke_expansion
-from .entanglement import (
-    SWEEP_FAMILIES,
-    family_pair_reduction,
-    negativity,
-    negativity_sweep,
-    sweep_shape_violations,
+from .species import (
+    SPIN_ONE,
+    WEIGHT_VARIANTS,
+    DomainError,
+    SpinSpecies,
+    parse_twice,
+    twice_to_str,
 )
-from .ladder import chain_vectors, oracle_expansion
-from .species import SPIN_ONE, DomainError, SpinSpecies, parse_twice, twice_to_str
-from .tables import TABLE_TOLERANCE, verify_tables
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable
+
+    from .coefficients import DickeExpansion
 
 FIGURE_PARTICLE_COUNTS = range(20, 81, 10)
 COMPARISON_PARTICLE_COUNTS = (30, 80)
@@ -147,15 +145,22 @@ def _parse_state_args(args) -> tuple[SpinSpecies, int, int]:
     return species, args.n, parse_twice(args.m)
 
 
-def _refuse_past_cap(what: str, size: int, cap: int) -> None:
-    if size > cap:
-        raise DomainError(f"{what} of {size:,} vectors is past the CLI cap of {cap:,}")
+def _refuse_past_cap(
+    what: str, species: SpinSpecies, n: int, tm: int, cap: int, chain: bool = False
+) -> None:
+    from .basis import past_cap
+
+    if past_cap(species, n, tm, cap, chain):
+        raise DomainError(f"{what} of more than {cap:,} vectors is past the CLI cap")
 
 
 def _write_csv(
     header: list[str], rows: Iterable[list[str]], path: str | None = None
 ) -> None:
     """Stream CSV rows to `path`, or to stdout when no path is given."""
+    import csv
+    from contextlib import nullcontext
+
     with (
         nullcontext(sys.stdout)
         if path is None
@@ -167,12 +172,16 @@ def _write_csv(
 
 
 def _print_json(payload: dict) -> None:
+    import json
+
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _cmd_basis(args) -> int:
+    from .basis import enumerate_basis, parametric_count
+
     species, n, tm = _parse_state_args(args)
-    _refuse_past_cap("basis", basis_size(species, n, tm), BASIS_CAP)
+    _refuse_past_cap("basis", species, n, tm, BASIS_CAP)
     vectors = enumerate_basis(species, n, tm)
     formula_count = parametric_count(species, n, tm)
     if args.format == "json":
@@ -224,18 +233,24 @@ def _emit_expansion(args, x: DickeExpansion) -> None:
 
 
 def _cmd_expand(args) -> int:
+    from .coefficients import dicke_expansion
+
     species, n, tm = _parse_state_args(args)
-    _refuse_past_cap("basis", basis_size(species, n, tm), BASIS_CAP)
+    _refuse_past_cap("basis", species, n, tm, BASIS_CAP)
     _emit_expansion(args, dicke_expansion(species, n, tm))
     return 0
 
 
 def _cmd_oracle(args) -> int:
+    from .ladder import oracle_expansion
+
     species, n, tm = _parse_state_args(args)
-    _refuse_past_cap("lowering chain", chain_vectors(species, n, tm), CHAIN_CAP)
+    _refuse_past_cap("lowering chain", species, n, tm, CHAIN_CAP, chain=True)
     oracle = oracle_expansion(species, n, tm)
     _emit_expansion(args, oracle)
     if args.diff_closed_form:
+        from .coefficients import dicke_expansion
+
         closed = dicke_expansion(species, n, tm).as_dict()
         ladder = oracle.as_dict()
         deviation = max(
@@ -247,6 +262,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify_tables(args) -> int:
+    from .tables import TABLE_TOLERANCE, verify_tables
+
     reports = verify_tables(variant=args.weights)
     all_passed = True
     for report in reports:
@@ -265,6 +282,8 @@ def _cmd_verify_tables(args) -> int:
 
 
 def _cmd_antisym(args) -> int:
+    from .antisym import enumerate_all_antisym
+
     species = SpinSpecies.from_str(args.spin)
     states = enumerate_all_antisym(species)
     if args.format == "json":
@@ -302,8 +321,10 @@ def _cmd_antisym(args) -> int:
 
 
 def _cmd_negativity(args) -> int:
+    from . import entanglement
+
     name, colon, params_text = args.state.partition(":")
-    if name in SWEEP_FAMILIES:
+    if name in entanglement.SWEEP_FAMILIES:
         if colon:
             raise DomainError(f"--state {name} takes no parameters")
         if args.n is None:
@@ -311,10 +332,13 @@ def _cmd_negativity(args) -> int:
         if args.sweep:
             if args.m is not None:
                 raise DomainError("--m and --sweep cannot be combined")
-            if name == "equal":  # bases at M = J - k for k = 0..N
-                sizes = lowering_depth_sizes(SPIN_ONE, args.n, args.n)
-                _refuse_past_cap("sweep bases", sum(sizes), BASIS_CAP)
-            rows = negativity_sweep(name, args.n)
+            # the bases at M = J, ..., 0 are the lowering chain to M = 0;
+            # the sweep itself refuses fewer than two particles
+            if name == "equal" and args.n > 1:
+                _refuse_past_cap(
+                    "sweep bases", SPIN_ONE, args.n, 0, BASIS_CAP, chain=True
+                )
+            rows = entanglement.negativity_sweep(name, args.n)
             _write_csv(
                 ["M", "negativity"],
                 ([twice_to_str(tm), f"{value:.6f}"] for tm, value in rows),
@@ -324,8 +348,8 @@ def _cmd_negativity(args) -> int:
             raise DomainError(f"--m or --sweep is required for --state {name}")
         tm = parse_twice(args.m)
         if name == "equal":
-            _refuse_past_cap("basis", basis_size(SPIN_ONE, args.n, tm), BASIS_CAP)
-        rho = family_pair_reduction(name, args.n, tm)
+            _refuse_past_cap("basis", SPIN_ONE, args.n, tm, BASIS_CAP)
+        rho = entanglement.family_pair_reduction(name, args.n, tm)
     else:
         if args.sweep:
             raise DomainError(
@@ -339,11 +363,16 @@ def _cmd_negativity(args) -> int:
             raise DomainError(f"bad state parameters {params_text!r}") from None
         vector = entanglement.named_two_qutrit_state(name, params)
         rho = entanglement.density_of(vector)
-    print(f"{negativity(rho).value:.6f}")
+    print(f"{entanglement.negativity(rho).value:.6f}")
     return 0
 
 
 def _cmd_figures(args) -> int:
+    import os
+
+    from . import svg
+    from .entanglement import negativity_sweep, sweep_shape_violations
+
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
 
@@ -409,6 +438,10 @@ def _points(rows: list[tuple[int, float]]) -> list[tuple[float, float]]:
 
 
 def _cmd_plot(args) -> int:
+    import csv
+
+    from . import svg
+
     with open(args.input, encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
@@ -418,6 +451,8 @@ def _cmd_plot(args) -> int:
         if len(header) < 2:
             raise DomainError("plot input needs an x column and at least one series")
         records = [row for row in reader if row]
+    if not records:
+        raise DomainError(f"{args.input} has a header but no data rows")
     for row in records:
         if len(row) < len(header):
             raise DomainError(f"row {row} has fewer than {len(header)} cells")
@@ -432,6 +467,8 @@ def _cmd_plot(args) -> int:
 
 
 def _parse_number(text: str) -> float:
+    from math import isfinite
+
     try:
         value = parse_twice(text) / 2.0 if "/" in text else float(text)
     except (ValueError, DomainError):

@@ -39,10 +39,7 @@ from math import comb, factorial, ldexp, perm, sqrt
 from typing import Iterator
 
 from .basis import OccupationVector, check_domain, enumerate_basis
-from .species import DomainError, SpinSpecies
-
-#: weight variants accepted by the closed-form engine
-WEIGHT_VARIANTS = ("binomial", "alt")
+from .species import WEIGHT_VARIANTS, DomainError, SpinSpecies
 
 #: bits of precision kept in the scaled quotient whose square root `_root` takes
 _ROOT_BITS = 120

@@ -26,15 +26,18 @@ routes they are tested against.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from itertools import permutations
 from math import comb, factorial, perm, sqrt
 
-from .basis import check_domain, enumerate_basis
-from .coefficients import DickeExpansion, dicke_expansion
 from .linalg import Matrix, symmetric_eigenvalues
 from .species import SPIN_ONE, DomainError, SpinSpecies
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # the pure-state path imports no family machinery
+    from fractions import Fraction
+
+    from .coefficients import DickeExpansion
 
 LevelPair = tuple[int, int]  # (twice-m of particle 1, twice-m of particle 2)
 
@@ -78,11 +81,11 @@ TRACE_TOLERANCE = 1e-12
 PSD_TOLERANCE = 1e-10
 
 
-@dataclass(frozen=True)
-class TwoQuditDensity:
-    """Real symmetric trace-1 matrix on the pinned two-qutrit basis."""
+class TwoQuditDensity(namedtuple("TwoQuditDensity", "entries")):
+    """Real symmetric trace-1 matrix on the pinned two-qutrit basis; its
+    `entries` are an immutable tuple of rows."""
 
-    entries: tuple[tuple[float, ...], ...]
+    __slots__ = ()
 
     def matrix(self) -> Matrix:
         return [list(row) for row in self.entries]
@@ -104,15 +107,18 @@ class TwoQuditDensity:
             raise DomainError("density matrix is not positive semidefinite")
 
 
-@dataclass(frozen=True)
-class NegativityReport:
-    """Sum of |negative eigenvalues| of the partial transpose, with the
-    eigenvalues themselves and, from `block_negativity`, the eigenvalues of
-    each labelled block."""
+class NegativityReport(
+    namedtuple(
+        "NegativityReport",
+        "value negative_eigenvalues block_decomposition",
+        defaults=(None,),
+    )
+):
+    """Sum of |negative eigenvalues| of the partial transpose (`value`),
+    with the eigenvalues themselves and, from `block_negativity`, the
+    eigenvalues of each labelled block (`block_decomposition`, else None)."""
 
-    value: float
-    negative_eigenvalues: tuple[float, ...]
-    block_decomposition: tuple[tuple[str, tuple[float, ...]], ...] | None = None
+    __slots__ = ()
 
 
 def _as_density(entries: Matrix) -> TwoQuditDensity:
@@ -372,6 +378,10 @@ def dicke_pair_weights(n_particles: int, twice_m: int) -> tuple[Fraction, ...]:
     C(4, j) [k]_j [2N - k]_{4-j} / [2N]_4, from falling factorials [x]_j
     rather than from C(2N, k), whose size grows with N.
     """
+    from fractions import Fraction
+
+    from .basis import check_domain
+
     check_domain(SPIN_ONE, n_particles, twice_m)
     if n_particles < 2:
         raise DomainError("pair reduction needs at least two particles")
@@ -446,6 +456,9 @@ def equal_probability_expansion(
 ) -> DickeExpansion:
     """Uniform-amplitude superposition over the whole fixed-M occupation
     basis (spin 1); the comparison family for the Dicke states."""
+    from .basis import enumerate_basis
+    from .coefficients import DickeExpansion
+
     if species != SPIN_ONE:
         raise DomainError("equal-probability states are defined for spin 1 only")
     basis = enumerate_basis(species, n_particles, twice_m)
@@ -461,6 +474,8 @@ SWEEP_FAMILIES = ("dicke", "equal")
 def family_expansion(family: str, n_particles: int, twice_m: int) -> DickeExpansion:
     """The spin-1 member of a sweep family ("dicke" or "equal") at (N, M)."""
     if family == "dicke":
+        from .coefficients import dicke_expansion
+
         return dicke_expansion(SPIN_ONE, n_particles, twice_m)
     if family == "equal":
         return equal_probability_expansion(SPIN_ONE, n_particles, twice_m)

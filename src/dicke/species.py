@@ -7,7 +7,7 @@ integers and no fractional arithmetic ever happens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class DomainError(ValueError):
@@ -18,15 +18,23 @@ _SPIN_BY_NAME = {"1/2": 1, "1": 2, "3/2": 3, "2": 4}
 _NAME_BY_SPIN = {v: k for k, v in _SPIN_BY_NAME.items()}
 
 
-@dataclass(frozen=True, order=True)
-class SpinSpecies:
-    """One of the supported single-particle spins s in {1/2, 1, 3/2, 2}."""
+#: level-weight variants accepted by the closed-form engine (`coefficients`);
+#: defined here so that the CLI parser can offer them without importing it
+WEIGHT_VARIANTS = ("binomial", "alt")
 
-    twice_spin: int
 
-    def __post_init__(self) -> None:
-        if self.twice_spin not in _NAME_BY_SPIN:
-            raise DomainError(f"unsupported spin: 2s = {self.twice_spin}")
+class SpinSpecies(namedtuple("SpinSpecies", "twice_spin")):
+    """One of the supported single-particle spins s in {1/2, 1, 3/2, 2}.
+
+    An immutable value, equal, ordered and hashed by `twice_spin`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, twice_spin: int) -> SpinSpecies:
+        if twice_spin not in _NAME_BY_SPIN:
+            raise DomainError(f"unsupported spin: 2s = {twice_spin}")
+        return super().__new__(cls, twice_spin)
 
     @classmethod
     def from_str(cls, text: str) -> "SpinSpecies":

@@ -14,6 +14,8 @@ from dicke import (
     parametric_basis,
     parametric_count,
 )
+from dicke.basis import past_cap
+from dicke.ladder import chain_vectors
 
 
 def test_spin1_n10_m5():
@@ -220,3 +222,19 @@ def test_basis_size_of_bases_too_large_to_enumerate():
     assert mirrored == basis_size(SPIN_THREE_HALVES, 301, 7)
     with pytest.raises(DomainError):
         basis_size(SPIN_TWO, 400, 1601 * 2)
+
+
+def test_past_cap_agrees_with_the_exact_sizes():
+    for species in ALL_SPECIES:
+        for n in (*range(1, 25), 61, 130):
+            twice_j = species.twice_spin * n
+            for twice_m in range(-twice_j, twice_j + 1, 2):
+                size = basis_size(species, n, twice_m)
+                chain = chain_vectors(species, n, twice_m)
+                for cap in {0, size - 1, size, chain - 1, chain, 100}:
+                    assert past_cap(species, n, twice_m, cap) == (size > cap)
+                    assert past_cap(species, n, twice_m, cap, chain=True) == (
+                        chain > cap
+                    )
+    with pytest.raises(DomainError):
+        past_cap(SPIN_TWO, 400, 1601 * 2, 10)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
 from math import sqrt
 from pathlib import Path
@@ -130,8 +131,12 @@ def test_inputs_past_the_size_caps_exit_2_before_enumerating(
     def unreachable(*args):
         raise AssertionError("the basis was built")
 
-    for name in ("enumerate_basis", "dicke_expansion", "oracle_expansion"):
-        monkeypatch.setattr(dicke.cli, name, unreachable)
+    for target in (
+        "dicke.basis.enumerate_basis",
+        "dicke.coefficients.dicke_expansion",
+        "dicke.ladder.oracle_expansion",
+    ):
+        monkeypatch.setattr(target, unreachable)
     start = perf_counter()
     code, out, err = run([command, "--spin", "2", "--n", "400", "--m", "0"], capsys)
     assert perf_counter() - start < 1.0
@@ -147,13 +152,40 @@ def test_equal_family_past_the_basis_cap_exits_2_before_enumerating(
     def unreachable(*args):
         raise AssertionError("the basis was built")
 
-    monkeypatch.setattr(dicke.entanglement, "enumerate_basis", unreachable)
+    monkeypatch.setattr(dicke.basis, "enumerate_basis", unreachable)
     code, out, err = run(
         ["negativity", "--state", "equal", "--n", "1000000", *extra], capsys
     )
     assert code == 2
     assert out == ""
     assert "past the CLI cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--spin", "1", "--n", "100000000", "--m", "0"],
+        ["oracle", "--spin", "1", "--n", "100000000", "--m", "0"],
+        ["negativity", "--state", "equal", "--n", "100000000", "--sweep"],
+        ["expand", "--spin", "2", "--n", "10000000", "--m", "0"],
+    ],
+)
+def test_size_checks_stop_once_past_the_cap(argv, capsys):
+    import dicke.coefficients, dicke.entanglement, dicke.ladder  # imported unmeasured
+
+    tracemalloc.start()
+    try:
+        start = perf_counter()
+        code, out, err = run(argv, capsys)
+        elapsed = perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert "past the CLI cap" in err
+    assert elapsed < 0.5
+    assert peak < 10 * 2**20
 
 
 def test_dicke_family_point_at_a_million_particles(capsys):
@@ -205,7 +237,7 @@ def test_figures_shape_violation_exits_4(tmp_path, capsys, monkeypatch):
             twice_ms = list(range(0, 2 * n + 1, 2))
         return [(tm, 0.001 * tm) for tm in twice_ms]  # increases with M
 
-    monkeypatch.setattr(dicke.cli, "negativity_sweep", broken_sweep)
+    monkeypatch.setattr(dicke.entanglement, "negativity_sweep", broken_sweep)
     code, _, err = run(["figures", "--out-dir", str(tmp_path)], capsys)
     assert code == 4
     assert "shape violation" in err
@@ -454,6 +486,18 @@ def test_plot_short_row_exits_2(tmp_path, capsys):
     code, _, err = run(["plot", "--in", str(source), "--out", str(out_svg)], capsys)
     assert code == 2
     assert "fewer than 3 cells" in err
+    assert not out_svg.exists()
+
+
+@pytest.mark.parametrize("text", ["M,negativity\n", "M,negativity\n\n"])
+def test_plot_header_without_data_rows_exits_2(text, tmp_path, capsys):
+    source = tmp_path / "header.csv"
+    source.write_text(text, encoding="utf-8")
+    out_svg = tmp_path / "header.svg"
+    code, _, err = run(["plot", "--in", str(source), "--out", str(out_svg)], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "no data rows" in err
     assert not out_svg.exists()
 
 

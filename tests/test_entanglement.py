@@ -315,6 +315,24 @@ def test_block_negativity_agrees_with_full_diagonalization():
             assert labels == ["T1", "T2", "T3", "a1", "a3"]
 
 
+def test_density_and_report_are_immutable_values():
+    rho = density_of(named_two_qutrit_state("bg"))
+    twin = density_of(named_two_qutrit_state("bg"))
+    assert rho == twin and hash(rho) == hash(twin)
+    assert rho != density_of(named_two_qutrit_state("psie"))
+    assert repr(rho) == f"TwoQuditDensity(entries={rho.entries!r})"
+    report = negativity(rho)
+    assert report == negativity(twin) and hash(report) == hash(negativity(twin))
+    assert repr(report) == (
+        f"NegativityReport(value={report.value!r}, negative_eigenvalues="
+        f"{report.negative_eigenvalues!r}, block_decomposition=None)"
+    )
+    with pytest.raises(AttributeError):
+        rho.entries = ()
+    with pytest.raises(AttributeError):
+        report.value = 0.0
+
+
 def test_negativity_runs_one_eigensolve(monkeypatch):
     import dicke.entanglement
 

@@ -21,6 +21,15 @@ def test_unsupported_twice_spin_rejected():
         SpinSpecies(5)
 
 
+def test_species_is_an_immutable_value():
+    assert SpinSpecies(2) == SpinSpecies.from_str("1")
+    assert hash(SpinSpecies(2)) == hash(SpinSpecies.from_str("1"))
+    assert SpinSpecies(2) != SpinSpecies(4)
+    assert repr(SpinSpecies(2)) == "SpinSpecies(twice_spin=2)"
+    with pytest.raises(AttributeError):
+        SpinSpecies(2).twice_spin = 4
+
+
 def test_levels_run_from_top_to_bottom():
     assert SpinSpecies(3).twice_levels == (3, 1, -1, -3)
     assert SpinSpecies(4).n_levels == 5
