@@ -19,26 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .species import DomainError, SpinSpecies
+from .species import DomainError, SpinSpecies, check_domain  # re-exported
 
 OccupationVector = tuple[int, ...]
-
-
-def check_domain(species: SpinSpecies, n_particles: int, twice_m: int) -> None:
-    """Reject (N, M) pairs with no occupation solutions at maximal spin."""
-    if n_particles < 1:
-        raise DomainError(f"need at least one particle, got N={n_particles}")
-    twice_j = species.twice_spin * n_particles
-    if abs(twice_m) > twice_j:
-        raise DomainError(
-            f"magnetization out of range: |M| = {abs(twice_m)}/2 exceeds "
-            f"J = {twice_j}/2 for spin {species.name}, N={n_particles}"
-        )
-    if (twice_j - twice_m) % 2 != 0:
-        raise DomainError(
-            f"magnetization 2M={twice_m} has the wrong parity for "
-            f"spin {species.name}, N={n_particles}"
-        )
 
 
 def enumerate_basis(

@@ -38,8 +38,8 @@ from functools import cached_property
 from math import comb, factorial, ldexp, perm, sqrt
 from typing import Iterator
 
-from .basis import OccupationVector, check_domain, enumerate_basis
-from .species import WEIGHT_VARIANTS, DomainError, SpinSpecies
+from .basis import OccupationVector, enumerate_basis
+from .species import WEIGHT_VARIANTS, DomainError, SpinSpecies, check_domain
 
 #: bits of precision kept in the scaled quotient whose square root `_root` takes
 _ROOT_BITS = 120

@@ -31,7 +31,7 @@ from itertools import permutations
 from math import comb, factorial, perm, sqrt
 
 from .linalg import Matrix, symmetric_eigenvalues
-from .species import SPIN_ONE, DomainError, SpinSpecies
+from .species import SPIN_ONE, DomainError, SpinSpecies, check_domain
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # the pure-state path imports no family machinery
@@ -379,8 +379,6 @@ def dicke_pair_weights(n_particles: int, twice_m: int) -> tuple[Fraction, ...]:
     rather than from C(2N, k), whose size grows with N.
     """
     from fractions import Fraction
-
-    from .basis import check_domain
 
     check_domain(SPIN_ONE, n_particles, twice_m)
     if n_particles < 2:

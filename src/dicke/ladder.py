@@ -9,9 +9,7 @@ to level m-1 with amplitude factor
     sqrt((s + m)(s - m + 1)) * sqrt(n_m (n_{m-1} + 1)),
 
 and contributions landing on the same occupation vector are merged before
-anything is normalized.  Because every Dicke amplitude in this basis is the
-positive square root of a rational, an exact mode tracks squared amplitudes
-as big rationals and certifies the floating-point chain on small systems.
+anything is normalized.
 
 Every walk runs on packed keys: level i of an occupation vector holds bits
 [i*w, (i+1)*w) of one integer, with w = N.bit_length(), so a move is one
@@ -22,6 +20,20 @@ so every amplitude and the order of every dict are those of the tuple
 walk.  Keys are unpacked to tuples only at the boundary: once at the end of
 a chain, and around each call of the public `apply_lowering` /
 `apply_raising`, which keep tuple keys.
+
+A long chain switches to `_table_step`, which reads each factor from a
+flat table indexed by the packed pair (n_i, n_{i+1}) instead of computing
+it: the same sqrt of the same integer, so the values and dict order do not
+change.  The tables of a chain hold 2s * N(N+1)/2 factors, and they are
+built once the vectors walked so far outnumber them, so building never
+costs more than the work already done.  Spin-1/2 and spin-1 chains never
+get there: with at most three levels a level pair fixes the vector, so
+no factor is read twice.
+
+The exact mode walks integers: in the monomial basis with level-i
+variables rescaled by prod_{k<i} sqrt(f2_k), J- is the derivation
+sum_i z_{i+1} d/dz_i, and the squared amplitudes follow from the integer
+coefficients with no square root taken.
 """
 
 from __future__ import annotations
@@ -29,12 +41,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import isqrt, sqrt
+from itertools import accumulate
+from math import factorial, sqrt
+from operator import mul
 from typing import Iterator
 
-from .basis import OccupationVector, check_domain, lowering_depth_sizes
+from .basis import OccupationVector, lowering_depth_sizes
 from .coefficients import DickeExpansion
-from .species import DomainError, SpinSpecies
+from .species import DomainError, SpinSpecies, check_domain
 
 PRUNE_THRESHOLD = 1e-14
 
@@ -79,17 +93,63 @@ def _moves(species: SpinSpecies, width: int, lowering: bool) -> tuple[PackedMove
 
 
 def _step(
-    terms: dict[int, float], moves: tuple[PackedMove, ...], mask: int
+    terms: dict[int, float],
+    moves: tuple[PackedMove, ...],
+    mask: int,
+    divisor: float = 1.0,
 ) -> dict[int, float]:
-    """One collective J- or J+ application on packed keys; merges coincident
-    vectors in the order a tuple walk would."""
+    """One collective J- or J+ application on packed keys to the state
+    `terms` / `divisor`; merges coincident vectors in the order a tuple
+    walk would."""
     out: dict[int, float] = {}
-    for key, amp in terms.items():
+    for key, raw in terms.items():
+        amp = raw / divisor
         for f2, src, dst, delta in moves:
             a = key >> src & mask
             if a:
                 moved = key + delta
                 factor = sqrt(f2 * a * ((key >> dst & mask) + 1))
+                out[moved] = out.get(moved, 0.0) + amp * factor
+    return out
+
+
+TabledMove = tuple[list[float], int, int]  # (factor table, source shift, key delta)
+
+
+def _tables(
+    moves: tuple[PackedMove, ...], n_particles: int, width: int
+) -> tuple[TabledMove, ...]:
+    """Each move's ladder factor at the index n_src | n_dst << width of a
+    flat table: sqrt(f2 * a * (b + 1)) for a >= 1 particles in the source
+    level and b in the target, a + b <= N, and 0.0 elsewhere."""
+    n = n_particles
+    tabled = []
+    for f2, src, _, delta in moves:
+        table = [0.0] * ((n + 1) << width)
+        for a in range(1, n + 1):
+            row = f2 * a
+            table[a : a + ((n - a + 1) << width) : 1 << width] = map(
+                sqrt, range(row, row * (n - a + 1) + 1, row)
+            )
+        tabled.append((table, src, delta))
+    return tuple(tabled)
+
+
+def _table_step(
+    terms: dict[int, float],
+    tabled: tuple[TabledMove, ...],
+    pair_mask: int,
+    divisor: float,
+) -> dict[int, float]:
+    """`_step` with every factor read from `_tables`: the same floats, the
+    same merge order."""
+    out: dict[int, float] = {}
+    for key, raw in terms.items():
+        amp = raw / divisor
+        for table, src, delta in tabled:
+            factor = table[key >> src & pair_mask]
+            if factor:
+                moved = key + delta
                 out[moved] = out.get(moved, 0.0) + amp * factor
     return out
 
@@ -144,20 +204,29 @@ def oracle_expansion(
 ) -> DickeExpansion:
     """|J, M> generated by lowering from |J, J>, renormalized stepwise.
 
-    Each step divides by sqrt((J + M)(J - M + 1)) for the step M -> M - 1;
-    amplitudes below PRUNE_THRESHOLD are dropped at the end.
+    Each step divides by sqrt((J + M)(J - M + 1)) for the step M -> M - 1,
+    as the next step reads its input; amplitudes below PRUNE_THRESHOLD are
+    dropped at the end.
     """
     check_domain(species, n_particles, twice_m)
     twice_j = species.twice_spin * n_particles
     width = n_particles.bit_length()
     mask = (1 << width) - 1
     moves = _moves(species, width, lowering=True)
-    terms = {n_particles: 1.0}  # |J, J>: every particle in level 0
+    table_size = len(moves) * n_particles * (n_particles + 1) // 2
+    tabled = None
+    walked = 0
+    terms, divisor = {n_particles: 1.0}, 1.0  # |J, J>: every particle in level 0
     for step in _lowering_steps(twice_j, twice_m):
-        terms = _step(terms, moves, mask)
+        if tabled is None and walked > table_size:
+            tabled = _tables(moves, n_particles, width)
+        walked += len(terms)
+        if tabled is None:
+            terms = _step(terms, moves, mask, divisor)
+        else:
+            terms = _table_step(terms, tabled, (1 << 2 * width) - 1, divisor)
         divisor = sqrt(step)
-        for key, amp in terms.items():
-            terms[key] = amp / divisor
+    terms = {key: raw / divisor for key, raw in terms.items()}
     norm = sqrt(sum(a * a for a in terms.values()))
     cleaned = sorted(
         (_unpack(key, width, species.n_levels), amp / norm)
@@ -183,53 +252,39 @@ def total_spin_expectation(x: DickeExpansion) -> float:
 # -- exact mode ---------------------------------------------------------------
 
 
-def _exact_sqrt(q: Fraction) -> Fraction | None:
-    num, den = q.numerator, q.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
-def _add_with_common_radical(q1: Fraction, q2: Fraction) -> Fraction:
-    """Square of sqrt(q1) + sqrt(q2), valid when q1*q2 is a perfect square.
-
-    Along a lowering chain all contributions to one occupation vector are
-    rational multiples of the same square root, so the cross term is always
-    rational; anything else is a hard error, not a rounding issue.
-    """
-    if q1 == 0:
-        return q2
-    if q2 == 0:
-        return q1
-    cross = _exact_sqrt(q1 * q2)
-    if cross is None:
-        raise ArithmeticError("amplitudes do not share a common radical")
-    return q1 + q2 + 2 * cross
-
-
 def oracle_squares_exact(
     species: SpinSpecies, n_particles: int, twice_m: int
 ) -> dict[OccupationVector, Fraction]:
     """Squared |J, M> amplitudes from the lowering chain, as exact rationals.
 
-    Certifies the closed-form engine without any floating point; intended
-    for small N (cost grows with the chain length and basis size).
+    With z_i the level-i variable scaled by prod_{k<i} sqrt(f2_k), J- acts
+    on the monomials z^v as sum_i z_{i+1} d/dz_i, so the chain has integer
+    coefficients phi(v) (a move out of level i multiplies by n_i), and
+    psi(v)^2 is proportional to phi(v)^2 prod_i F_i^{n_i} n_i! with
+    F_i = prod_{k<i} f2_k.  Certifies the closed-form engine without any
+    floating point.
     """
     check_domain(species, n_particles, twice_m)
     width = n_particles.bit_length()
     mask = (1 << width) - 1
     moves = _moves(species, width, lowering=True)
-    squares: dict[int, Fraction] = {n_particles: Fraction(1)}
-    for step in _lowering_steps(species.twice_spin * n_particles, twice_m):
-        nxt: dict[int, Fraction] = {}
-        for key, q in squares.items():
-            for f2, src, dst, delta in moves:
+    phi = {n_particles: 1}
+    for _ in range((species.twice_spin * n_particles - twice_m) // 2):
+        nxt: dict[int, int] = {}
+        for key, c in phi.items():
+            for _, src, _, delta in moves:
                 a = key >> src & mask
                 if a:
                     moved = key + delta
-                    contrib = q * f2 * a * ((key >> dst & mask) + 1) / step
-                    before = nxt.get(moved, Fraction(0))
-                    nxt[moved] = _add_with_common_radical(before, contrib)
-        squares = nxt
-    return {_unpack(k, width, species.n_levels): q for k, q in squares.items()}
+                    nxt[moved] = nxt.get(moved, 0) + a * c
+        phi = nxt
+    level_weights = tuple(accumulate((f2 for f2, *_ in moves), mul, initial=1))
+    squares = {}
+    for key, c in phi.items():
+        occ = _unpack(key, width, species.n_levels)
+        square = c * c
+        for weight, count in zip(level_weights, occ):
+            square *= weight**count * factorial(count)
+        squares[occ] = square
+    total = sum(squares.values())
+    return {occ: Fraction(square, total) for occ, square in squares.items()}

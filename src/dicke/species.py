@@ -76,6 +76,23 @@ SPIN_TWO = SpinSpecies(4)
 ALL_SPECIES = (SPIN_HALF, SPIN_ONE, SPIN_THREE_HALVES, SPIN_TWO)
 
 
+def check_domain(species: SpinSpecies, n_particles: int, twice_m: int) -> None:
+    """Reject (N, M) pairs with no occupation solutions at maximal spin."""
+    if n_particles < 1:
+        raise DomainError(f"need at least one particle, got N={n_particles}")
+    twice_j = species.twice_spin * n_particles
+    if abs(twice_m) > twice_j:
+        raise DomainError(
+            f"magnetization out of range: |M| = {abs(twice_m)}/2 exceeds "
+            f"J = {twice_j}/2 for spin {species.name}, N={n_particles}"
+        )
+    if (twice_j - twice_m) % 2 != 0:
+        raise DomainError(
+            f"magnetization 2M={twice_m} has the wrong parity for "
+            f"spin {species.name}, N={n_particles}"
+        )
+
+
 def twice_to_str(twice_value: int) -> str:
     """Render a doubled quantum number as '3', '-1' or '7/2'."""
     if twice_value % 2 == 0:

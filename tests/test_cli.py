@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import tracemalloc
@@ -122,6 +123,22 @@ def test_oracle_matches_expand_and_reports_deviation(capsys):
     for o_row, e_row in zip(oracle_rows, expand_rows):
         assert o_row[:4] == e_row[:4]
         assert float(o_row[4]) == pytest.approx(float(e_row[4]), abs=1e-10)
+
+
+#: sha256 of the .17g CSV each oracle command prints; both chains are long
+#: enough to switch to the factor tables, which must not move a bit
+ORACLE_DIGESTS = {
+    ("2", "40", "0"): "c6f4d65811f3c8c3a046dbd63a0dfc6ebca6c836b159666532e4510cd5c4a2cb",
+    ("3/2", "40", "1"): "2f3498630b39505418ae6b9509e0bbf2da218fec0e197298708d96c6a2967ae5",
+}
+
+
+@pytest.mark.parametrize("spin,n,m", sorted(ORACLE_DIGESTS))
+def test_oracle_output_bytes_are_pinned(spin, n, m, capsys):
+    code, out, err = run(["oracle", "--spin", spin, "--n", n, "--m", m], capsys)
+    assert code == 0 and err == ""
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == ORACLE_DIGESTS[spin, n, m]
 
 
 @pytest.mark.parametrize("command", ["basis", "expand", "oracle"])

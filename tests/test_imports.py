@@ -63,6 +63,14 @@ def test_named_pure_state_loads_only_its_layers():
     assert not loaded & {"dataclasses", "fractions", "decimal", "json", "csv"}
 
 
+def test_dicke_family_sweep_loads_no_basis_layer():
+    package, loaded = loaded_by("negativity", "--state", "dicke", "--n", "80", "--sweep")
+    assert package == {
+        "dicke", "dicke.cli", "dicke.species", "dicke.linalg", "dicke.entanglement",
+    }
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "json"}
+
+
 def test_plot_loads_no_entanglement_layer(tmp_path):
     package, _ = loaded_by(
         "plot", "--in", str(GOLDEN / "fig2_n30.csv"), "--out", str(tmp_path / "x.svg")

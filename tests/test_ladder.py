@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import sqrt
+from math import isqrt, sqrt
 
 import pytest
 
@@ -20,7 +20,16 @@ from dicke import (
     total_spin_expectation,
 )
 from dicke.coefficients import exact_coefficient_squares
-from dicke.ladder import RawExpansion, chain_vectors, oracle_squares_exact
+import dicke.ladder
+from dicke.ladder import (
+    RawExpansion,
+    _lowering_steps,
+    _moves,
+    _tables,
+    _unpack,
+    chain_vectors,
+    oracle_squares_exact,
+)
 
 
 def test_highest_weight_states():
@@ -165,6 +174,58 @@ def test_exact_mode_certifies_the_closed_form():
                 ) == exact_coefficient_squares(species, n, tm)
 
 
+def _exact_sqrt(q):
+    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+def _add_with_common_radical(q1, q2):
+    """Square of sqrt(q1) + sqrt(q2); along a lowering chain the
+    contributions to one vector share one radical, so the cross term is
+    rational."""
+    if q1 == 0:
+        return q2
+    if q2 == 0:
+        return q1
+    cross = _exact_sqrt(q1 * q2)
+    assert cross is not None, "amplitudes do not share a common radical"
+    return q1 + q2 + 2 * cross
+
+
+def _fraction_walk(species, n, twice_m):
+    """Squared amplitudes by the renormalized J- walk on squared rationals."""
+    width = n.bit_length()
+    mask = (1 << width) - 1
+    moves = _moves(species, width, lowering=True)
+    squares = {n: Fraction(1)}
+    for step in _lowering_steps(species.twice_spin * n, twice_m):
+        nxt = {}
+        for key, q in squares.items():
+            for f2, src, dst, delta in moves:
+                a = key >> src & mask
+                if a:
+                    contrib = q * f2 * a * ((key >> dst & mask) + 1) / step
+                    moved = key + delta
+                    nxt[moved] = _add_with_common_radical(
+                        nxt.get(moved, Fraction(0)), contrib
+                    )
+        squares = nxt
+    return {_unpack(k, width, species.n_levels): q for k, q in squares.items()}
+
+
+def test_integer_exact_mode_equals_the_fraction_walk():
+    for species in ALL_SPECIES:
+        for n in range(1, 9):
+            tj = species.twice_spin * n
+            for tm in range(-tj, tj + 1, 2):
+                exact = oracle_squares_exact(species, n, tm)
+                reference = _fraction_walk(species, n, tm)
+                assert exact == reference
+                assert list(exact) == list(reference)
+
+
 def test_exact_mode_squares_sum_to_one():
     squares = oracle_squares_exact(SPIN_TWO, 5, 2)
     assert sum(squares.values()) == Fraction(1)
@@ -191,3 +252,51 @@ def test_chain_vectors_sums_the_bases_along_the_chain():
     assert chain_vectors(SPIN_TWO, 60, 0) == 321081
     assert chain_vectors(SPIN_ONE, 2400, 0) == 1442401
     assert chain_vectors(SPIN_TWO, 400, 0) == 547689423
+
+
+def test_every_table_entry_is_its_ladder_factor():
+    for species in ALL_SPECIES:
+        for n in (1, 2, 7, 8, 33):
+            width = n.bit_length()
+            mask = (1 << width) - 1
+            moves = _moves(species, width, lowering=True)
+            tabled = _tables(moves, n, width)
+            assert len(tabled) == len(moves)
+            for (table, src, delta), (f2, m_src, _, m_delta) in zip(tabled, moves):
+                assert (src, delta) == (m_src, m_delta)
+                assert len(table) == (n + 1) << width
+                for index, factor in enumerate(table):
+                    a, b = index & mask, index >> width
+                    if a >= 1 and a + b <= n:
+                        assert factor == sqrt(f2 * a * (b + 1))
+                    else:
+                        assert factor == 0.0
+
+
+def _count_table_builds(monkeypatch):
+    builds = []
+    build = dicke.ladder._tables
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(dicke.ladder, "_tables", counted)
+    return builds
+
+
+def test_three_level_chains_build_no_tables(monkeypatch):
+    builds = _count_table_builds(monkeypatch)
+    for species in (SPIN_HALF, SPIN_ONE):
+        for n in (1, 2, 3, 400):
+            oracle_expansion(species, n, -species.twice_spin * n)
+    assert builds == []
+
+
+def test_long_chains_build_their_tables_once(monkeypatch):
+    builds = _count_table_builds(monkeypatch)
+    for species in (SPIN_THREE_HALVES, SPIN_TWO):
+        oracle_expansion(species, 20, 0)
+    assert len(builds) == 2
+    oracle_expansion(SPIN_TWO, 2, 0)  # tiny chains stay inline
+    assert len(builds) == 2

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from dicke import (
     ALL_SPECIES,
     SPIN_ONE,
+    SPIN_THREE_HALVES,
+    SPIN_TWO,
     apply_lowering,
     apply_raising,
     coefficient_square,
@@ -35,7 +37,14 @@ from dicke.entanglement import (
     TwoQuditDensity,
     sweep_shape_violations,
 )
-from dicke.ladder import PRUNE_THRESHOLD, _lowering_steps
+from dicke.ladder import (
+    PRUNE_THRESHOLD,
+    _lowering_steps,
+    _moves,
+    _step,
+    _table_step,
+    _tables,
+)
 from dicke.linalg import symmetric_eigenvalues
 
 
@@ -168,6 +177,38 @@ def test_public_walks_keep_the_tuple_walk_values_and_order(state):
     ):
         expected = _tuple_walk(dict(source.terms), species, lowering)
         assert list(walked.terms.items()) == list(expected.items())
+
+
+@st.composite
+def _packed_states(draw):
+    """A spin-3/2 or spin-2 state on random packed occupation vectors of
+    mixed M, with random amplitudes, and a divisor for the step to apply."""
+    species = draw(st.sampled_from((SPIN_THREE_HALVES, SPIN_TWO)))
+    n = draw(st.integers(1, 40))
+    width = n.bit_length()
+    terms = {}
+    for _ in range(draw(st.integers(1, 30))):
+        cuts = sorted(
+            draw(st.lists(st.integers(0, n), min_size=species.twice_spin,
+                          max_size=species.twice_spin))
+        )
+        occ = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, n])]
+        key = sum(c << width * i for i, c in enumerate(occ))
+        terms[key] = draw(st.floats(-1e6, 1e6))
+    return species, n, terms, draw(st.floats(1e-3, 1e6))
+
+
+@settings(deadline=None)
+@given(_packed_states())
+def test_tabled_step_is_bit_identical_to_the_inline_step(state):
+    species, n, terms, divisor = state
+    width = n.bit_length()
+    moves = _moves(species, width, lowering=True)
+    inline = _step(terms, moves, (1 << width) - 1, divisor)
+    tabled = _table_step(terms, _tables(moves, n, width), (1 << 2 * width) - 1, divisor)
+    assert [(k, v.hex()) for k, v in tabled.items()] == [
+        (k, v.hex()) for k, v in inline.items()
+    ]
 
 
 # -- spin-1 entanglement ----------------------------------------------------------
