@@ -126,7 +126,8 @@ class EnumerationParams:
     """Bound parameters of the closed-form basis parametrization.
 
     Not every field applies to every spin: `mk`, `gamma` and `beta` exist
-    for spin 3/2 and spin 2 only, `k2_range` for spin 2 only.  `sign` is the
+    for spin 3/2 and spin 2 only; the index k1 runs over 1..m_k and, for
+    spin 2, k2 over 0..m_k - k1 (`parametric_basis`).  `sign` is the
     factor multiplying gamma in the level-difference constraint (+1 for
     M >= 0, -1 for M < 0; the M = 0 exponent is indeterminate and pinned
     to +1 so both signs of the difference arise as gamma changes sign).
@@ -143,8 +144,6 @@ class EnumerationParams:
     gamma: dict[int, int] = field(default_factory=dict)
     beta: dict[int, int] = field(default_factory=dict)
     mk: dict[int, int] = field(default_factory=dict)
-    k1_range: dict[int, range] = field(default_factory=dict)
-    k2_range: dict[tuple[int, int], range] = field(default_factory=dict)
 
 
 def enumeration_bounds(
@@ -175,17 +174,16 @@ def enumeration_bounds(
         p = max(alpha, 0)  # (alpha + |alpha|)/2
         k0 = (p + (1 - (-1) ** p) // 2) // 2  # == ceil(p / 2)
         k_max = (j_minus_m - parity_min) // 2
-        gamma, beta, mk, k1r = {}, {}, {}, {}
+        gamma, beta, mk = {}, {}, {}
         for k in range(k0, k_max + 1):
             g = j_minus_m - 3 * k
             b = k - p
             x = min(b, 0) + k + 1  # (beta - |beta|)/2 + k + 1
             m_k = (x + abs(x)) // 2 + max(g, 0)
             gamma[k], beta[k], mk[k] = g, b, m_k
-            k1r[k] = range(1, m_k + 1)
         return EnumerationParams(
             species, n_particles, twice_m, parity_min, k0, k_max, sign,
-            alpha, gamma, beta, mk, k1r,
+            alpha, gamma, beta, mk,
         )
 
     # spin 2
@@ -194,7 +192,7 @@ def enumeration_bounds(
     k0 = 2 * (q // 3) + q % 3
     r = 2 * n_particles - abs(twice_m) // 2  # 2N - |M|
     k_max = (2 * r) // 3
-    gamma, beta, mk, k1r, k2r = {}, {}, {}, {}, {}
+    gamma, beta, mk = {}, {}, {}
     for k in range(k0, k_max + 1):
         g = j_minus_m - 2 * k
         b = k - q
@@ -202,12 +200,9 @@ def enumeration_bounds(
         x = max(b, 0) + v  # (beta + |beta|)/2 + (2k + 3 + (-1)^k)/4
         m_k = (x + abs(x)) // 2 + min(g, 0)
         gamma[k], beta[k], mk[k] = g, b, m_k
-        k1r[k] = range(1, m_k + 1)
-        for k1 in k1r[k]:
-            k2r[(k, k1)] = range(0, m_k - k1 + 1)
     return EnumerationParams(
         species, n_particles, twice_m, parity_min, k0, k_max, sign,
-        alpha, gamma, beta, mk, k1r, k2r,
+        alpha, gamma, beta, mk,
     )
 
 
@@ -263,7 +258,7 @@ def parametric_basis(
         for k in range(params.k0, params.k_max + 1):
             g = params.gamma[k]
             diff23 = params.sign * g
-            for k1 in params.k1_range[k]:
+            for k1 in range(1, params.mk[k] + 1):
                 sum23 = abs(g) - 2 * (k1 - 1)
                 if sum23 < abs(diff23) or (sum23 + diff23) % 2 != 0:
                     continue
@@ -285,13 +280,13 @@ def parametric_basis(
             g = params.gamma[k]
             diff24 = params.sign * g
             n3_base = (1 - (-1) ** k) // 2  # +1 on odd k
-            for k1 in params.k1_range[k]:
+            for k1 in range(1, params.mk[k] + 1):
                 sum24 = g + 2 * (k1 - 1)  # printed with gamma, not |gamma|
                 if sum24 < abs(diff24) or (sum24 + diff24) % 2 != 0:
                     continue
                 n2 = (sum24 + diff24) // 2
                 n4 = (sum24 - diff24) // 2
-                for k2 in params.k2_range[(k, k1)]:
+                for k2 in range(params.mk[k] - k1 + 1):
                     n3 = 2 * (k2 + 1) + n3_base - 2
                     rest = n - n2 - n3 - n4
                     num = m - (n2 - n4)  # = 2 (n1 - n5)

@@ -16,14 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .species import (
-    SPIN_ONE,
-    WEIGHT_VARIANTS,
-    DomainError,
-    SpinSpecies,
-    parse_twice,
-    twice_to_str,
-)
+from .species import SPIN_ONE, DomainError, SpinSpecies, parse_twice, twice_to_str
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -101,13 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("verify-tables", help="replay the bundled reference tables")
-    p.add_argument(
-        "--weights",
-        choices=WEIGHT_VARIANTS,
-        default="binomial",
-        help="closed-form level-weight variant; 'alt' demonstrates the "
-        "rejected candidate prefactors failing the tables",
-    )
     p.set_defaults(handler=_cmd_verify_tables)
 
     p = sub.add_parser("antisym", help="list all elementary antisymmetric states")
@@ -264,7 +250,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_verify_tables(args) -> int:
     from .tables import TABLE_TOLERANCE, verify_tables
 
-    reports = verify_tables(variant=args.weights)
+    reports = verify_tables()
     all_passed = True
     for report in reports:
         verdict = "PASS" if report.passed else "FAIL"
@@ -276,7 +262,7 @@ def _cmd_verify_tables(args) -> int:
         )
     print(
         f"overall: {'PASS' if all_passed else 'FAIL'} "
-        f"(tolerance {TABLE_TOLERANCE:.0e}, weights={args.weights})"
+        f"(tolerance {TABLE_TOLERANCE:.0e}, weights=binomial)"
     )
     return 0 if all_passed else 4
 

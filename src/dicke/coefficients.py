@@ -19,15 +19,15 @@ identically (see VALIDATION.md).
 enumeration order and keep P as an exact integer: it is built from
 factorials for the first vector only, and each later P follows from the
 previous one through the falling-factorial and weight ratios of the counts
-that changed.  The one floating-point step is the square root of P over
-D (`exact_coefficient_squares`) or over the exact sum of the P, which
-equals D for the validated weight (`dicke_expansion`), taken on a scaled
+that changed.  `exact_coefficient_squares` returns P / D as exact
+rationals.  The one floating-point step of `dicke_expansion` is the square
+root of P over the exact sum of the P, which equals D, taken on a scaled
 integer quotient (`_root`), so no square is ever formed in floating point
 and no amplitude that is a normal float underflows.  `coefficient_square`
 evaluates the same formula per vector from factorials and is the
-independent oracle for the walk.  A rejected candidate weight is kept
-selectable as the "alt" variant purely to document its failure against
-the reference tables.
+independent oracle for the walk.  The two rejected readings of the
+weight are rebuilt only in the tests, which show them failing the
+reference tables.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from math import comb, factorial, ldexp, perm, sqrt
 from typing import Iterator
 
 from .basis import OccupationVector, enumerate_basis
-from .species import WEIGHT_VARIANTS, DomainError, SpinSpecies, check_domain
+from .species import DomainError, SpinSpecies, check_domain
 
 #: bits of precision kept in the scaled quotient whose square root `_root` takes
 _ROOT_BITS = 120
@@ -53,22 +53,11 @@ def level_weight(species: SpinSpecies, twice_m: int) -> float:
     return sqrt(comb(ts, (ts - twice_m) // 2))
 
 
-def _level_weight_squares(
-    species: SpinSpecies, variant: str
-) -> tuple[tuple[int, ...], int]:
-    """Squared level weights w_m as integer numerators over one common
-    denominator, ordered like the occupation vector."""
+def _level_weight_squares(species: SpinSpecies) -> tuple[int, ...]:
+    """Squared level weights w_m = binomial(2s, s - m), ordered like the
+    occupation vector."""
     ts = species.twice_spin
-    if variant not in WEIGHT_VARIANTS:
-        raise ValueError(f"unknown weight variant {variant!r}")
-    # Rejected candidates, kept only so table verification can show they
-    # fail: 2^{n_0} for spin 1 and (3/2)^{n_3/2} 3^{(n_2+n_3+n_4)/2} for
-    # spin 2 (squared here).  Spin 1/2 and 3/2 have no alternative reading.
-    if variant == "alt" and ts == 2:
-        return (1, 4, 1), 1
-    if variant == "alt" and ts == 4:
-        return (2, 6, 9, 6, 2), 2
-    return tuple(comb(ts, (ts - tm) // 2) for tm in species.twice_levels), 1
+    return tuple(comb(ts, (ts - tm) // 2) for tm in species.twice_levels)
 
 
 def _root(numerator: int, denominator: int) -> float:
@@ -87,11 +76,7 @@ def _root(numerator: int, denominator: int) -> float:
 
 
 def coefficient_square(
-    species: SpinSpecies,
-    n_particles: int,
-    twice_m: int,
-    occ: OccupationVector,
-    variant: str = "binomial",
+    species: SpinSpecies, n_particles: int, twice_m: int, occ: OccupationVector
 ) -> Fraction:
     """Exact squared closed-form coefficient of one occupation vector."""
     check_domain(species, n_particles, twice_m)
@@ -105,29 +90,24 @@ def coefficient_square(
             f"occupation vector {occ} not in the (N={n_particles}, "
             f"2M={twice_m}) basis for spin {species.name}"
         )
-    weights, scale = _level_weight_squares(species, variant)
     numerator = factorial(n_particles)
-    for count, w in zip(occ, weights):
+    for count, w in zip(occ, _level_weight_squares(species)):
         numerator = numerator // factorial(count) * w**count
     twice_j = species.twice_spin * n_particles
     norm = comb(twice_j, (twice_j - abs(twice_m)) // 2)
-    return Fraction(numerator, norm * scale**n_particles)
+    return Fraction(numerator, norm)
 
 
 def closed_form_coefficient(
-    species: SpinSpecies,
-    n_particles: int,
-    twice_m: int,
-    occ: OccupationVector,
-    variant: str = "binomial",
+    species: SpinSpecies, n_particles: int, twice_m: int, occ: OccupationVector
 ) -> float:
     """Closed-form amplitude (positive square root of the exact square)."""
-    square = coefficient_square(species, n_particles, twice_m, occ, variant)
+    square = coefficient_square(species, n_particles, twice_m, occ)
     return _root(square.numerator, square.denominator)
 
 
 def _walk(
-    species: SpinSpecies, n_particles: int, twice_m: int, variant: str
+    species: SpinSpecies, n_particles: int, twice_m: int
 ) -> tuple[list[OccupationVector], Iterator[int]]:
     """The basis and the numerators P of the exact squares C^2 = P / D in
     basis order.
@@ -137,7 +117,7 @@ def _walk(
     collected as an integer fraction and divided out exactly, since every
     P is an integer.
     """
-    weights, _ = _level_weight_squares(species, variant)
+    weights = _level_weight_squares(species)
     basis = enumerate_basis(species, n_particles, twice_m)
 
     def numerators() -> Iterator[int]:
@@ -190,18 +170,14 @@ class DickeExpansion:
 
 
 def dicke_expansion(
-    species: SpinSpecies,
-    n_particles: int,
-    twice_m: int,
-    variant: str = "binomial",
+    species: SpinSpecies, n_particles: int, twice_m: int
 ) -> DickeExpansion:
     """Full closed-form expansion of |J = sN, M> over its occupation basis.
 
-    Each root is taken over the exact sum of the numerators, which equals D
-    for the validated weight and normalizes the "alt" variant before any
-    float is formed; the final float renormalization is kept for both.
+    Each root is taken over the exact sum of the numerators, which equals
+    D, and the amplitudes are renormalized once more in floating point.
     """
-    basis, numerators = _walk(species, n_particles, twice_m, variant)
+    basis, numerators = _walk(species, n_particles, twice_m)
     numerators = list(numerators)
     total = sum(numerators)
     amps = [_root(p, total) for p in numerators]
@@ -214,7 +190,7 @@ def exact_coefficient_squares(
     species: SpinSpecies, n_particles: int, twice_m: int
 ) -> dict[OccupationVector, Fraction]:
     """Squared amplitudes of the full expansion as exact rationals."""
-    basis, numerators = _walk(species, n_particles, twice_m, "binomial")
+    basis, numerators = _walk(species, n_particles, twice_m)
     twice_j = species.twice_spin * n_particles
     denominator = comb(twice_j, (twice_j - abs(twice_m)) // 2)
     return {occ: Fraction(p, denominator) for occ, p in zip(basis, numerators)}

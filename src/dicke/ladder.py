@@ -159,7 +159,9 @@ def _unpack(key: int, width: int, n_levels: int) -> OccupationVector:
     return tuple(key >> width * i & mask for i in range(n_levels))
 
 
-def _apply(x: DickeExpansion | RawExpansion, lowering: bool) -> RawExpansion:
+def _packed_step(x: DickeExpansion | RawExpansion, lowering: bool) -> dict[int, float]:
+    """J- or J+ applied to `x` on packed keys, after checking that every
+    key is an occupation vector of x's N particles."""
     species, n = x.species, x.n_particles
     width = n.bit_length()
     packed: dict[int, float] = {}
@@ -167,7 +169,13 @@ def _apply(x: DickeExpansion | RawExpansion, lowering: bool) -> RawExpansion:
         if len(occ) != species.n_levels or min(occ) < 0 or sum(occ) != n:
             raise DomainError(f"{occ} is not an occupation vector of {n} particles")
         packed[sum(c << width * i for i, c in enumerate(occ))] = amp
-    out = _step(packed, _moves(species, width, lowering), (1 << width) - 1)
+    return _step(packed, _moves(species, width, lowering), (1 << width) - 1)
+
+
+def _apply(x: DickeExpansion | RawExpansion, lowering: bool) -> RawExpansion:
+    species, n = x.species, x.n_particles
+    width = n.bit_length()
+    out = _packed_step(x, lowering)
     return RawExpansion(
         species, n, {_unpack(k, width, species.n_levels): a for k, a in out.items()}
     )
@@ -243,8 +251,7 @@ def total_spin_expectation(x: DickeExpansion) -> float:
     For a true |J = sN, M> this equals sN (sN + 1); a perturbed expansion
     gives a smaller value, which makes this a cheap integrity check.
     """
-    raised = apply_raising(x)
-    jm_jp = sum(a * a for a in raised.terms.values())
+    jm_jp = sum(a * a for a in _packed_step(x, lowering=False).values())
     m = x.twice_m / 2.0
     return jm_jp + m * m + m
 

@@ -18,11 +18,6 @@ _SPIN_BY_NAME = {"1/2": 1, "1": 2, "3/2": 3, "2": 4}
 _NAME_BY_SPIN = {v: k for k, v in _SPIN_BY_NAME.items()}
 
 
-#: level-weight variants accepted by the closed-form engine (`coefficients`);
-#: defined here so that the CLI parser can offer them without importing it
-WEIGHT_VARIANTS = ("binomial", "alt")
-
-
 class SpinSpecies(namedtuple("SpinSpecies", "twice_spin")):
     """One of the supported single-particle spins s in {1/2, 1, 3/2, 2}.
 

@@ -78,12 +78,9 @@ def load_reference_rows() -> list[TableRow]:
     return rows
 
 
-def verify_tables(variant: str = "binomial") -> list[TableReport]:
-    """Replay every table row through both engines.
-
-    `variant` selects the closed-form level weight; "alt" demonstrates the
-    rejected candidate prefactors failing (the oracle column is unaffected).
-    """
+def verify_tables() -> list[TableReport]:
+    """Replay every table row through both engines: the closed form with
+    the validated binomial weight and the ladder oracle."""
     rows = load_reference_rows()
     expansions: dict[tuple, dict] = {}
     oracles: dict[tuple, dict] = {}
@@ -99,7 +96,7 @@ def verify_tables(variant: str = "binomial") -> list[TableReport]:
         for row in per_table[table]:
             key = (row.species, row.n_particles, row.twice_m)
             if key not in expansions:
-                expansions[key] = dicke_expansion(*key, variant=variant).as_dict()
+                expansions[key] = dicke_expansion(*key).as_dict()
                 oracles[key] = oracle_expansion(*key).as_dict()
             closed = expansions[key].get(row.occupation, 0.0)
             oracle = oracles[key].get(row.occupation, 0.0)

@@ -227,14 +227,12 @@ def test_verify_tables_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_verify_tables_alt_weights_fail_is_recorded(capsys):
-    code, out, _ = run(["verify-tables", "--weights", "alt"], capsys)
-    assert code == 4
-    assert "table5" in out and "FAIL" in out
-    # spin-3/2 tables still pass: the variants coincide there
-    for line in out.splitlines():
-        if line.startswith(("table3", "table4")):
-            assert "PASS" in line
+def test_verify_tables_weights_option_is_a_usage_error(capsys):
+    code, out, err = run(["verify-tables", "--weights", "alt"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "usage" in err and "--weights" in err
+    assert "Traceback" not in err
 
 
 def test_verify_tables_missing_data_exits_3(capsys, monkeypatch):

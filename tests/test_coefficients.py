@@ -1,6 +1,6 @@
 import sys
 from fractions import Fraction
-from math import comb, exp, lgamma, log, sqrt
+from math import comb, exp, isqrt, lgamma, log, sqrt
 
 import pytest
 
@@ -11,6 +11,7 @@ from dicke import (
     SPIN_THREE_HALVES,
     SPIN_TWO,
     DomainError,
+    SpinSpecies,
     closed_form_coefficient,
     coefficient_square,
     dicke_expansion,
@@ -169,32 +170,6 @@ def test_spin_half_coefficients_are_exactly_one():
             assert closed_form_coefficient(SPIN_HALF, n, tm, occ) == 1.0
 
 
-def test_alt_weight_variant_departs_from_the_reference_values():
-    """The rejected prefactor candidates stay available for demonstration
-    and demonstrably fail the cells the validated weight reproduces."""
-    good = closed_form_coefficient(SPIN_TWO, 5, 16, (3, 2, 0, 0, 0))
-    bad = closed_form_coefficient(SPIN_TWO, 5, 16, (3, 2, 0, 0, 0), variant="alt")
-    assert good == pytest.approx(0.9177, abs=FOUR_DECIMALS)
-    assert abs(bad - 0.9177) > 0.01
-    # spin 3/2 has a single reading, so the variants coincide there
-    assert closed_form_coefficient(
-        SPIN_THREE_HALVES, 6, 14, (5, 0, 1, 0), variant="alt"
-    ) == closed_form_coefficient(SPIN_THREE_HALVES, 6, 14, (5, 0, 1, 0))
-
-
-def test_alt_variant_expansion_is_still_normalized():
-    expansion = dicke_expansion(SPIN_ONE, 10, 0, variant="alt")
-    assert expansion.norm_square() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_alt_variant_does_not_overflow_at_large_n():
-    expansion = dicke_expansion(SPIN_ONE, 2400, 0, variant="alt")
-    assert len(expansion.terms) == 1201
-    assert expansion.norm_square() == pytest.approx(1.0, abs=1e-12)
-    # alt weights 1 : 4 : 1 put the heaviest term at n_0 = 4 n_1
-    assert max(expansion.terms, key=lambda t: t[1])[0] == (400, 1600, 400)
-
-
 def _lgamma_amplitude(species, occ, twice_m):
     """Reference amplitude from lgamma; 0.0 below the normal float range."""
     n = sum(occ)
@@ -234,6 +209,29 @@ def test_closed_form_coefficient_does_not_underflow():
             assert value < sys.float_info.min
         else:
             assert value == pytest.approx(reference, rel=1e-9, abs=0.0)
+
+
+#: fraction bits of the fixed-point reference amplitudes
+ORACLE_BITS = 1200
+
+
+@pytest.mark.parametrize("spin, n", [("1", 80), ("1", 2400), ("3/2", 40), ("2", 30)])
+def test_amplitudes_match_a_high_precision_oracle(spin, n):
+    """Every amplitude against floor(sqrt(P / D) 2^b) from the exact square
+    of the per-vector factorial route: within 2^-51 relative when it is a
+    normal float, within 2^-1074 absolute below the normal range."""
+    species = SpinSpecies.from_str(spin)
+    expansion = dicke_expansion(species, n, 0)
+    one = Fraction(1, 1 << ORACLE_BITS)
+    for occ, amp in expansion.terms:
+        square = coefficient_square(species, n, 0, occ)
+        p, d = square.numerator, square.denominator
+        reference = isqrt((p << 2 * ORACLE_BITS) // d) * one
+        error = abs(Fraction(amp) - reference)
+        if amp >= sys.float_info.min:
+            assert error <= reference / 2**51, (occ, amp)
+        else:
+            assert error <= Fraction(1, 2**1074), (occ, amp)
 
 
 def test_amplitude_lookup_matches_terms_and_defaults_to_zero():

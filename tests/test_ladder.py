@@ -124,6 +124,29 @@ def test_total_spin_expectation_flags_perturbed_states():
     assert abs(total_spin_expectation(perturbed) - expected) > 1e-3
 
 
+def test_total_spin_expectation_equals_the_apply_raising_route():
+    """Summing the packed raised amplitudes gives the same float as
+    summing those of the public `apply_raising`, bit for bit."""
+    for species in ALL_SPECIES:
+        for n in range(1, 13):
+            twice_j = species.twice_spin * n
+            for twice_m in range(-twice_j, twice_j + 1, 2):
+                for state in (
+                    oracle_expansion(species, n, twice_m),
+                    dicke_expansion(species, n, twice_m),
+                ):
+                    raised = apply_raising(state).terms.values()
+                    m = twice_m / 2.0
+                    expected = sum(a * a for a in raised) + m * m + m
+                    assert total_spin_expectation(state) == expected
+
+
+def test_total_spin_expectation_rejects_vectors_that_are_not_occupations():
+    for occ in ((2, 1, 2), (4, 0), (5, 0, -1)):
+        with pytest.raises(DomainError):
+            total_spin_expectation(DickeExpansion(SPIN_ONE, 4, 0, ((occ, 1.0),)))
+
+
 def test_oracle_support_equals_enumerated_basis():
     for species in ALL_SPECIES:
         for n in range(1, 9):

@@ -26,12 +26,7 @@ from dicke import (
     oracle_expansion,
     partial_transpose,
 )
-from dicke.coefficients import (
-    WEIGHT_VARIANTS,
-    _level_weight_squares,
-    _walk,
-    exact_coefficient_squares,
-)
+from dicke.coefficients import _walk, exact_coefficient_squares
 from dicke.entanglement import (
     RHO_BASIS,
     TwoQuditDensity,
@@ -87,17 +82,14 @@ def test_enumeration_equals_brute_force(state):
 
 
 @settings(deadline=None)
-@given(STATES, st.sampled_from(WEIGHT_VARIANTS))
-def test_walk_numerators_equal_the_per_vector_formula(state, variant):
+@given(STATES)
+def test_walk_numerators_equal_the_per_vector_formula(state):
     species, n, twice_m = state
-    basis, numerators = _walk(species, n, twice_m, variant)
-    _, scale = _level_weight_squares(species, variant)
+    basis, numerators = _walk(species, n, twice_m)
     twice_j = species.twice_spin * n
-    denominator = comb(twice_j, (twice_j - abs(twice_m)) // 2) * scale**n
+    denominator = comb(twice_j, (twice_j - abs(twice_m)) // 2)
     for occ, p in zip(basis, numerators):
-        assert Fraction(p, denominator) == coefficient_square(
-            species, n, twice_m, occ, variant
-        )
+        assert Fraction(p, denominator) == coefficient_square(species, n, twice_m, occ)
 
 
 @settings(deadline=None)

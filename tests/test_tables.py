@@ -1,4 +1,16 @@
+from fractions import Fraction
+from functools import cache
+from math import factorial, sqrt
+
+import pytest
+
+from dicke import enumerate_basis
 from dicke.tables import TABLE_TOLERANCE, load_reference_rows, verify_tables
+
+#: squared level weights of the two rejected readings, up to a common
+#: factor: 2^{n_0} for spin 1 and (3/2)^{n_3/2} 3^{(n_2+n_3+n_4)/2} for
+#: spin 2; spin 3/2 has no alternative reading
+REJECTED_WEIGHT_SQUARES = {"1": (1, 4, 1), "2": (2, 6, 9, 6, 2)}
 
 
 def test_row_inventory():
@@ -56,16 +68,32 @@ def test_verification_passes_with_the_validated_weight():
         assert report.max_dev_oracle <= TABLE_TOLERANCE
 
 
-def test_alt_weight_variant_fails_where_it_should():
-    """The rejected prefactors disagree with the spin-1 and spin-2 tables
-    but coincide with the validated weight for spin 3/2."""
-    reports = {r.table: r for r in verify_tables(variant="alt")}
-    assert not reports["table1"].passed
-    assert not reports["table2"].passed
-    assert not reports["table5"].passed
-    assert not reports["table6"].passed
-    assert reports["table3"].passed
-    assert reports["table4"].passed
-    # the ladder oracle column is unaffected by the weight variant
-    for report in reports.values():
-        assert report.max_dev_oracle <= TABLE_TOLERANCE
+@cache
+def _rejected_amplitudes(species, n_particles, twice_m):
+    """Amplitudes under a rejected weight, normalized exactly."""
+    weights = REJECTED_WEIGHT_SQUARES[species.name]
+    squares = {}
+    for occ in enumerate_basis(species, n_particles, twice_m):
+        p = factorial(n_particles)
+        for count, w in zip(occ, weights):
+            p = p // factorial(count) * w**count
+        squares[occ] = p
+    total = sum(squares.values())
+    return {occ: sqrt(Fraction(p, total)) for occ, p in squares.items()}
+
+
+def test_rejected_weight_readings_fail_the_tables():
+    """Negative control for the weight selection in VALIDATION.md: the
+    rejected readings miss every spin-1 and spin-2 table by far more than
+    the tolerance the validated weight meets."""
+    worst = {}
+    for row in load_reference_rows():
+        if row.species.name in REJECTED_WEIGHT_SQUARES:
+            amps = _rejected_amplitudes(row.species, row.n_particles, row.twice_m)
+            deviation = abs(amps[row.occupation] - row.coefficient)
+            worst[row.table] = max(worst.get(row.table, 0.0), deviation)
+    assert worst == pytest.approx(
+        {"table1": 0.2441, "table2": 0.3360, "table5": 0.0648, "table6": 0.0663},
+        abs=1e-4,
+    )
+    assert min(worst.values()) > TABLE_TOLERANCE
