@@ -46,7 +46,7 @@ def main(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code
     try:
         return args.handler(args)
     except (DomainError, UnicodeDecodeError) as exc:

@@ -5,18 +5,11 @@ The 9-dimensional product basis is pinned, in this order, to
 
     ud, 00, du, u0, 0u, 0d, d0, uu, dd        (u, 0, d: the m = +1, 0, -1 levels)
 
-for density matrices, and to the reordering
-
-    uu, 00, dd, u0, 0d, 0u, d0, ud, du
-
-after the partial transpose, where the pair reduction of any fixed-M
-symmetric state becomes literally block diagonal: one 3x3 block, two 2x2
-blocks and two scalars.  `PT_PERMUTATION` maps between the two orders.
-
 Negativity is always evaluated with one eigensolve of the full 9x9 partial
-transpose (which `symmetric_eigenvalues` splits along its exact zeros); the
-block path (`block_negativity`) is a second route that is validated against
-it, never trusted alone.  Dicke pair reductions are exact mixtures of the
+transpose (which `symmetric_eigenvalues` splits along its exact zeros); for
+Dicke pair reductions the iteration-free closed form
+(`dicke_pair_negativity`) is a second route that is validated against it,
+never trusted alone.  Dicke pair reductions are exact mixtures of the
 five two-particle J = 2 states (`dicke_pair_reduction`, O(1) in N); the
 occupation moments of an expansion (`two_body_elements`, which the
 equal-probability family uses) and the brute-force partial trace are the
@@ -28,7 +21,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from itertools import permutations
-from math import comb, factorial, perm, sqrt
+from math import acos, comb, cos, factorial, perm, sqrt
 
 from .linalg import Matrix, symmetric_eigenvalues
 from .species import SPIN_ONE, DomainError, SpinSpecies, check_domain
@@ -47,14 +40,6 @@ RHO_BASIS: tuple[LevelPair, ...] = (
     (2, 0), (0, 2), (0, -2), (-2, 0),
     (2, 2), (-2, -2),
 )
-#: basis order in which the partial transpose is block diagonal
-PT_BASIS: tuple[LevelPair, ...] = (
-    (2, 2), (0, 0), (-2, -2),
-    (2, 0), (0, -2), (0, 2), (-2, 0),
-    (2, -2), (-2, 2),
-)
-#: PT_BASIS[i] == RHO_BASIS[PT_PERMUTATION[i]]
-PT_PERMUTATION: tuple[int, ...] = tuple(RHO_BASIS.index(p) for p in PT_BASIS)
 
 _INDEX = {pair: i for i, pair in enumerate(RHO_BASIS)}
 
@@ -62,15 +47,6 @@ _INDEX = {pair: i for i, pair in enumerate(RHO_BASIS)}
 _PT_SOURCE: tuple[tuple[tuple[int, int], ...], ...] = tuple(
     tuple((_INDEX[(a, d)], _INDEX[(c, b)]) for c, d in RHO_BASIS)
     for a, b in RHO_BASIS
-)
-
-#: index blocks of the partially transposed matrix, in PT_BASIS order
-PT_BLOCKS: tuple[tuple[str, tuple[int, ...]], ...] = (
-    ("T1", (0, 1, 2)),
-    ("T2", (3, 4)),
-    ("T3", (5, 6)),
-    ("a1", (7,)),
-    ("a3", (8,)),
 )
 
 StateVector = tuple[float, ...]  # 9 real amplitudes in RHO_BASIS order
@@ -107,16 +83,9 @@ class TwoQuditDensity(namedtuple("TwoQuditDensity", "entries")):
             raise DomainError("density matrix is not positive semidefinite")
 
 
-class NegativityReport(
-    namedtuple(
-        "NegativityReport",
-        "value negative_eigenvalues block_decomposition",
-        defaults=(None,),
-    )
-):
+class NegativityReport(namedtuple("NegativityReport", "value negative_eigenvalues")):
     """Sum of |negative eigenvalues| of the partial transpose (`value`),
-    with the eigenvalues themselves and, from `block_negativity`, the
-    eigenvalues of each labelled block (`block_decomposition`, else None)."""
+    with the eigenvalues themselves."""
 
     __slots__ = ()
 
@@ -195,14 +164,6 @@ def partial_transpose(rho: TwoQuditDensity) -> Matrix:
     return [[m[i][j] for i, j in row] for row in _PT_SOURCE]
 
 
-def reorder_to_pt_basis(matrix: Matrix) -> Matrix:
-    """Permute a RHO_BASIS-indexed matrix into PT_BASIS order."""
-    return [
-        [matrix[PT_PERMUTATION[i]][PT_PERMUTATION[j]] for j in range(9)]
-        for i in range(9)
-    ]
-
-
 def negativity(rho: TwoQuditDensity) -> NegativityReport:
     """Sum of absolute values of negative partial-transpose eigenvalues,
     from the full 9x9 diagonalization."""
@@ -214,38 +175,17 @@ def negativity(rho: TwoQuditDensity) -> NegativityReport:
 def has_pair_reduction_block_structure(
     rho: TwoQuditDensity, tol: float = 1e-12
 ) -> bool:
-    """True when all entries outside the fixed-M pair-reduction blocks vanish.
-
-    In RHO_BASIS order those blocks (total m = 0, +1, -1, +2, -2) have the
-    same indices as PT_BLOCKS in PT_BASIS order.
-    """
-    member = {i: label for label, idxs in PT_BLOCKS for i in idxs}
-    m = rho.matrix()
+    """True when rho conserves m1 + m2, as the pair reduction of any
+    fixed-M symmetric state does: every entry between RHO_BASIS pairs of
+    different total m vanishes to within `tol`."""
+    total = [a + b for a, b in RHO_BASIS]
+    m = rho.entries
     return all(
         abs(m[i][j]) <= tol
         for i in range(9)
         for j in range(9)
-        if member[i] != member[j]
+        if total[i] != total[j]
     )
-
-
-def block_negativity(rho: TwoQuditDensity) -> NegativityReport:
-    """Negativity via the block decomposition of the partial transpose.
-
-    Valid only for pair reductions of fixed-M symmetric states; cross-checked
-    against the full diagonalization in the test suite.
-    """
-    if not has_pair_reduction_block_structure(rho):
-        raise DomainError("matrix does not have the pair-reduction block pattern")
-    pt = reorder_to_pt_basis(partial_transpose(rho))
-    blocks = tuple(
-        (label, tuple(symmetric_eigenvalues([[pt[i][j] for j in idxs] for i in idxs])))
-        for label, idxs in PT_BLOCKS
-    )
-    negatives = tuple(
-        e for _, eigenvalues in blocks for e in eigenvalues if e < 0.0
-    )
-    return NegativityReport(-sum(negatives), negatives, blocks)
 
 
 def schmidt_negativity(state: StateVector) -> float:
@@ -410,6 +350,50 @@ def dicke_pair_reduction(n_particles: int, twice_m: int) -> TwoQuditDensity:
         "a6": half3, "a7": half3, "b2": half3,
         "a8": float(p0), "a9": float(p4),
     })
+
+
+def _smaller_root(s: float, c: float) -> float:
+    """Smaller root of x^2 - s x + c for c <= 0 (so the root is <= 0), with
+    no cancellation."""
+    root = sqrt(s * s - 4.0 * c)
+    return 2.0 * c / (s + root) if s > 0.0 else (s - root) / 2.0
+
+
+def dicke_pair_negativity(n_particles: int, twice_m: int) -> float:
+    """Pair negativity of the spin-1 Dicke state |J = N, M> in closed form,
+    with no iteration: the second route to
+    `negativity(dicke_pair_reduction(n_particles, twice_m)).value`.
+
+    With the weights p_j of `dicke_pair_weights`, the partial transpose
+    splits into T1 = [[p0, p1/2, p2/6], [p1/2, 2p2/3, p3/2],
+    [p2/6, p3/2, p4]] on (uu, 00, dd), two copies of
+    [[p1/2, p2/3], [p2/3, p3/2]] and two scalars p2/6.  Exactly,
+    9 p1 p3 - 4 p2^2 = 18 q (q - 1) det T1 <= 0 (q = 2N), so the only
+    eigenvalues that can be negative are the smaller 2x2 root and the
+    smaller root of the quadratic left once T1's largest, isolated root is
+    taken from the trigonometric cubic formula (Smith, CACM 4(4):168,
+    1961); both are <= 0.  Taking all three T1 roots from that
+    formula would lose about N eps to the two small ones, which nearly
+    coincide at large N; the quadratic's coefficients come from the exact
+    invariants of T1 by Vieta, so the result keeps its relative precision.
+    """
+    p0, p1, p2, p3, p4 = dicke_pair_weights(n_particles, twice_m)
+    pair = _smaller_root(float((p1 + p3) / 2), float(p1 * p3 / 4 - p2 * p2 / 9))
+    a, b, c, d, e, f = p0, p1 / 2, p2 / 6, 2 * p2 / 3, p3 / 2, p4
+    trace = a + d + f
+    minors = a * d - b * b + a * f - c * c + d * f - e * e
+    det = a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
+    # roots trace/3 + 2 r cos(phi + 2 pi j/3); r > 0, since T1 is never a
+    # multiple of the identity
+    r = sqrt((trace * trace - 3 * minors) / 9)
+    cos_3phi = float(trace**3 / 27 - trace * minors / 6 + det / 2) / r**3
+    # rounding can push cos 3phi past 1 where the two small roots coincide
+    top = float(trace / 3) + 2.0 * r * cos(acos(min(cos_3phi, 1.0)) / 3.0)
+    # the small roots' product is det / top and their sum (minors - det / top)
+    # / top, which, unlike trace - top, does not cancel
+    product = float(det) / top
+    t1 = _smaller_root((float(minors) - product) / top, product)
+    return 0.0 - t1 - 2.0 * pair
 
 
 def brute_force_rdm(x: DickeExpansion) -> TwoQuditDensity:

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from dicke import (
@@ -177,12 +179,35 @@ def test_recorded_parametric_discrepancies():
     assert parametric_count(SPIN_TWO, 5, 16) == 4
 
 
+#: sha256 over repr((2s, N, 2M, parametric_count, parametric_basis)) for
+#: every species, N = 1..12 and every M (828 cases): the paper's printed
+#: formulas, wrong parts included, not their agreement with enumerate_basis
+PARAMETRIC_DIGEST = "d0d3be40fa553361df5de8402650e83e0d8ecee220467b094b644879d40b586b"
+
+
+def test_parametric_routes_are_pinned():
+    digest = hashlib.sha256()
+    for species in ALL_SPECIES:
+        for n in range(1, 13):
+            tj = species.twice_spin * n
+            for tm in range(-tj, tj + 1, 2):
+                case = (
+                    species.twice_spin, n, tm,
+                    parametric_count(species, n, tm),
+                    parametric_basis(species, n, tm),
+                )
+                digest.update(repr(case).encode())
+    assert digest.hexdigest() == PARAMETRIC_DIGEST
+
+
 def test_bound_parameters_are_well_formed_on_nonempty_bases():
     for species in ALL_SPECIES:
         for n in range(1, 11):
             tj = species.twice_spin * n
             for tm in range(-tj, tj + 1, 2):
                 params = enumeration_bounds(species, n, tm)
+                if species.twice_spin == 1:  # the unique spin-1/2 solution
+                    assert (params.k0, params.k_max, params.alpha) == (0, 0, None)
                 assert params.parity_min in (0, 1)
                 assert params.k0 <= params.k_max
                 assert params.sign == (-1 if tm < 0 else 1)

@@ -40,6 +40,15 @@ def test_unknown_command_exits_2(capsys):
     assert code == 2
 
 
+def test_parser_exits_return_their_status(capsys):
+    code, out, err = run(["--help"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: dicke")
+    code, out, err = run(["basis"], capsys)
+    assert (code, out) == (2, "")
+    assert "required" in err
+
+
 def test_unknown_flag_exits_2(capsys):
     code, _, _ = run(["basis", "--spin", "1", "--n", "4", "--m", "0", "--bogus"], capsys)
     assert code == 2
@@ -435,15 +444,32 @@ def test_figures_writes_files_with_expected_shapes(tmp_path, capsys):
     ET.fromstring((tmp_path / "fig1.svg").read_text())  # well-formed XML
 
 
+SVG_DIGESTS = {
+    "fig1.svg": "6b490f3121a6ef9f39f9142982268ceaaa8da1c448f1a518ed68b0d914f8f26a",
+    "fig2_n30.svg": "d2d2a759f95a7aedbbae4a5fc442fc5308c0a144609585768f57d7bfc09d3827",
+    "fig2_n80.svg": "e858d0394cae6d876a0c2358cccc96dd5bd4746dd95f4de0230b0003971b2f04",
+}
+#: half-integer M and a different number in every cell of both series
+PLOT_CSV = "M,dicke,equal\n-1/2,0.4,0.9\n1/2,0.3,0.7\n3/2,0.125,0.5\n5/2,0.0,0.25\n"
+PLOT_DIGEST = "b5c05d3926699f1e6fa7208122eeade2a85ab1c8b5372b79afd0dceef32db87f"
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_figures_output_is_byte_identical(tmp_path, capsys):
-    run(["figures", "--out-dir", str(tmp_path / "a")], capsys)
-    run(["figures", "--out-dir", str(tmp_path / "b")], capsys)
-    for name in ("fig1.csv", "fig2_n30.csv", "fig2_n80.csv", "fig1.svg"):
-        assert (tmp_path / "a" / name).read_bytes() == (
-            tmp_path / "b" / name
-        ).read_bytes()
+    run(["figures", "--out-dir", str(tmp_path)], capsys)
     for name in ("fig1.csv", "fig2_n30.csv", "fig2_n80.csv"):
-        assert (tmp_path / "a" / name).read_bytes() == (GOLDEN / name).read_bytes()
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+    for name, digest in SVG_DIGESTS.items():
+        assert sha256_of(tmp_path / name) == digest
+    source = tmp_path / "plot.csv"
+    source.write_text(PLOT_CSV, encoding="utf-8")
+    out_svg = tmp_path / "plot.svg"
+    code, _, _ = run(["plot", "--in", str(source), "--out", str(out_svg)], capsys)
+    assert code == 0
+    assert sha256_of(out_svg) == PLOT_DIGEST
     code, out, _ = run(["negativity", "--state", "psie"], capsys)
     assert code == 0
     assert out == (GOLDEN / "negativity_psie.txt").read_text(encoding="utf-8")

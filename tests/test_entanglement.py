@@ -24,16 +24,13 @@ from dicke import (
 )
 from dicke.antisym import symmetric_two_particle_state
 from dicke.entanglement import (
-    PT_BASIS,
-    PT_PERMUTATION,
     RHO_BASIS,
     TwoQuditDensity,
     a2_population_form,
-    block_negativity,
+    dicke_pair_negativity,
     dicke_pair_weights,
     has_pair_reduction_block_structure,
     random_pure_state,
-    reorder_to_pt_basis,
     sweep_shape_violations,
     two_body_elements,
 )
@@ -55,12 +52,6 @@ def mixed_state(rng, n_pure=3):
     rho = TwoQuditDensity(tuple(tuple(row) for row in entries))
     rho.validate()
     return rho
-
-
-def test_basis_permutation_table_is_consistent():
-    assert sorted(PT_PERMUTATION) == list(range(9))
-    for i, pair in enumerate(PT_BASIS):
-        assert RHO_BASIS[PT_PERMUTATION[i]] == pair
 
 
 def test_named_state_bg():
@@ -266,6 +257,8 @@ def test_mixture_route_at_a_million_particles():
 def test_mixture_route_rejects_states_without_a_pair(n, tm):
     with pytest.raises(DomainError):
         dicke_pair_reduction(n, tm)
+    with pytest.raises(DomainError):
+        dicke_pair_negativity(n, tm)
 
 
 def test_brute_force_rdm_rejects_large_systems():
@@ -293,26 +286,165 @@ def test_block_structure_and_symmetries_of_the_rdm():
             assert trace == pytest.approx(1.0, abs=1e-12)
 
 
-def test_pt_block_pattern_in_the_reordered_basis():
-    rho = dicke_two_particle_rdm(dicke_expansion(SPIN_ONE, 6, 2))
-    pt = reorder_to_pt_basis(partial_transpose(rho))
-    blocks = ((0, 1, 2), (3, 4), (5, 6), (7,), (8,))
-    member = {i: g for g, idxs in enumerate(blocks) for i in idxs}
+def test_block_structure_is_conservation_of_total_m():
+    rho = dicke_pair_reduction(6, 2)
+    total = [a + b for a, b in RHO_BASIS]
+    tol = 1e-12
     for i in range(9):
-        for j in range(9):
-            if member[i] != member[j]:
-                assert abs(pt[i][j]) <= 1e-12
+        for j in range(i + 1, 9):
+            if total[i] == total[j]:
+                continue
+            for entry, expected in ((tol, True), (2 * tol, False)):
+                entries = [list(row) for row in rho.entries]
+                entries[i][j] = entries[j][i] = entry
+                sigma = TwoQuditDensity(tuple(tuple(row) for row in entries))
+                assert has_pair_reduction_block_structure(sigma, tol) is expected
+    assert not has_pair_reduction_block_structure(
+        density_of(random_pure_state(random.Random(11)))
+    )
 
 
-def test_block_negativity_agrees_with_full_diagonalization():
-    for n in (3, 8, 20):
-        for tm in range(0, 2 * n + 1, 4):
-            rho = dicke_two_particle_rdm(dicke_expansion(SPIN_ONE, n, tm))
-            full = negativity(rho)
-            blocked = block_negativity(rho)
-            assert blocked.value == pytest.approx(full.value, abs=1e-12)
-            labels = [label for label, _ in blocked.block_decomposition]
-            assert labels == ["T1", "T2", "T3", "a1", "a3"]
+def closed_form_blocks(n, tm):
+    """The blocks of the partial transpose that `dicke_pair_negativity`
+    reads, on RHO_BASIS indices, rounded as `dicke_pair_reduction` rounds."""
+    p0, p1, p2, p3, p4 = dicke_pair_weights(n, tm)
+    uu, zz, dd = (RHO_BASIS.index(pair) for pair in ((2, 2), (0, 0), (-2, -2)))
+    t1 = [[p0, p1 / 2, p2 / 6], [p1 / 2, 2 * p2 / 3, p3 / 2], [p2 / 6, p3 / 2, p4]]
+    pair = [[p1 / 2, p2 / 3], [p2 / 3, p3 / 2]]
+    blocks = [((uu, zz, dd), t1)]
+    for idx in (((2, 0), (0, -2)), ((0, 2), (-2, 0))):
+        blocks.append((tuple(RHO_BASIS.index(p) for p in idx), pair))
+    for idx in ((2, -2), (-2, 2)):
+        blocks.append(((RHO_BASIS.index(idx),), [[p2 / 6]]))
+    return blocks
+
+
+@pytest.mark.parametrize("n, tm", [(2, 0), (2, 2), (6, 2), (9, -8), (80, 10)])
+def test_partial_transpose_splits_into_the_closed_form_blocks(n, tm):
+    pt = partial_transpose(dicke_pair_reduction(n, tm))
+    expected = [[0.0] * 9 for _ in range(9)]
+    for idx, block in closed_form_blocks(n, tm):
+        for r, i in enumerate(idx):
+            for c, j in enumerate(idx):
+                expected[i][j] = float(block[r][c])
+    assert pt == expected
+
+
+def test_closed_form_agrees_with_full_diagonalization():
+    points = [(n, tm) for n in range(2, 81) for tm in range(0, 2 * n + 1, 2)]
+    points += [(2400, tm) for tm in (*range(0, 4801, 38), 4796, 4798, 4800)]
+    for n, tm in points:
+        full = negativity(dicke_pair_reduction(n, tm)).value
+        value = dicke_pair_negativity(n, tm)
+        assert abs(value - full) <= 1e-12
+        assert (value > 0) == (tm < 2 * n)
+
+
+@pytest.mark.parametrize("n", [10**4, 10**5, 10**6])
+def test_closed_form_agrees_with_full_diagonalization_at_large_n(n):
+    for m in (0, 1, n // 3, n - 2, n - 1, n):
+        full = negativity(dicke_pair_reduction(n, 2 * m)).value
+        assert abs(dicke_pair_negativity(n, 2 * m) - full) <= 1e-12
+
+
+def test_closed_form_runs_no_eigensolver(monkeypatch):
+    import dicke.entanglement
+    import dicke.linalg
+
+    points = [(2, 2), (7, 0), (80, 30), (10**6, 2)]
+    before = [dicke_pair_negativity(n, tm) for n, tm in points]
+
+    def refuse(*args):
+        raise AssertionError("an eigensolver ran")
+
+    for module in (dicke.entanglement, dicke.linalg):
+        monkeypatch.setattr(module, "symmetric_eigenvalues", refuse)
+    monkeypatch.setattr(dicke.linalg, "jacobi_eigh", refuse)
+    assert [dicke_pair_negativity(n, tm) for n, tm in points] == before
+
+
+def t1_invariants(p0, p1, p2, p3, p4):
+    """Exact trace, sum of principal 2x2 minors and determinant of T1."""
+    a, b, c, d, e, f = p0, p1 / 2, p2 / 6, 2 * p2 / 3, p3 / 2, p4
+    return (
+        a + d + f,
+        a * d - b * b + a * f - c * c + d * f - e * e,
+        a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d),
+    )
+
+
+def smallest_root(coefficients, steps=110):
+    """Smallest root, to 2^-110, of a monic polynomial with exact
+    coefficients (highest degree first) whose other roots are >= 0 and
+    smallest is >= -1: bisection in Fractions."""
+
+    def value(x):
+        total = Fraction(0)
+        for coefficient in coefficients:
+            total = total * x + coefficient
+        return total
+
+    lo, hi = Fraction(-1), Fraction(0)
+    left_sign = value(lo) > 0
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        v = value(mid)
+        if v != 0 and (v > 0) == left_sign:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@pytest.mark.parametrize("n", [3, 10, 80, 10**4, 10**6])
+def test_closed_form_keeps_its_relative_precision(n):
+    for m in (0, 1, n // 3, n - 2, n - 1):
+        p0, p1, p2, p3, p4 = dicke_pair_weights(n, 2 * m)
+        trace, minors, det = t1_invariants(p0, p1, p2, p3, p4)
+        pair = smallest_root([1, -(p1 + p3) / 2, p1 * p3 / 4 - p2 * p2 / 9])
+        exact = -smallest_root([1, -trace, minors, -det]) - 2 * pair
+        assert abs(Fraction(dicke_pair_negativity(n, 2 * m)) - exact) <= 1e-15 * exact
+
+
+def test_exact_positivity_statement():
+    """9 p1 p3 - 4 p2^2 in closed form and as 18 q (q - 1) det T1, in
+    integers and Fractions only, and its consequence for the closed form."""
+    million = 10**6
+    large = [(million, 2 * m) for m in (0, 1, million - 2, million - 1, million)]
+    large.append((million, -2 * (million - 1)))
+    grid = [(n, tm) for n in range(2, 60) for tm in range(-2 * n, 2 * n + 1, 2)]
+    for n, tm in grid + large:
+        p0, p1, p2, p3, p4 = dicke_pair_weights(n, tm)
+        q, k = 2 * n, n - tm // 2
+        closed = Fraction(
+            -144 * k**2 * (q - k) ** 2 * (k - 1) * (q - k - 1),
+            q**2 * (q - 1) ** 2 * (q - 2) ** 2 * (q - 3),
+        )
+        _, _, det = t1_invariants(p0, p1, p2, p3, p4)
+        assert 9 * p1 * p3 - 4 * p2 * p2 == closed == 18 * q * (q - 1) * det
+        assert (closed < 0) == (abs(tm) <= 2 * n - 4)
+    for n, tm in large:
+        assert (dicke_pair_negativity(n, tm) > 0) == (abs(tm) < 2 * n)
+    for n in (2, 3, 7, 59):
+        for tm in range(2, 2 * n + 1, 2):
+            assert dicke_pair_negativity(n, -tm) == dicke_pair_negativity(n, tm)
+
+
+def large_n_law(t):
+    u = (1 - t * t) / 4
+    return 2 * u * (1 - u) * (1 - 3 * u) / ((1 - 2 * u) ** 2 + 2 * u * u) + (
+        2 * u * u / (1 - 2 * u)
+    )
+
+
+@pytest.mark.parametrize("n", [100, 400, 2400])
+def test_large_n_law(n):
+    assert large_n_law(0.0) == 0.5
+    worst = max(
+        abs(n * dicke_pair_negativity(n, 2 * m) - large_n_law(m / n))
+        for m in range(n + 1)
+    )
+    assert 0.6 < n * worst <= 0.7
 
 
 def test_density_and_report_are_immutable_values():
@@ -325,7 +457,7 @@ def test_density_and_report_are_immutable_values():
     assert report == negativity(twin) and hash(report) == hash(negativity(twin))
     assert repr(report) == (
         f"NegativityReport(value={report.value!r}, negative_eigenvalues="
-        f"{report.negative_eigenvalues!r}, block_decomposition=None)"
+        f"{report.negative_eigenvalues!r})"
     )
     with pytest.raises(AttributeError):
         rho.entries = ()
@@ -346,14 +478,7 @@ def test_negativity_runs_one_eigensolve(monkeypatch):
     monkeypatch.setattr(dicke.entanglement, "symmetric_eigenvalues", counting)
     report = negativity(rho)
     assert solves == [9]
-    assert report.value == pytest.approx(block_negativity(rho).value, abs=1e-12)
-
-
-def test_block_negativity_rejects_generic_matrices():
-    rng = random.Random(11)
-    vec = random_pure_state(rng)
-    with pytest.raises(DomainError):
-        block_negativity(density_of(vec))
+    assert report.value == pytest.approx(dicke_pair_negativity(8, 2), abs=1e-12)
 
 
 def test_equal_probability_expansion_examples():
