@@ -36,6 +36,9 @@ def enumerate_basis(
     levels = species.twice_levels
     last_pair = len(levels) - 2
     lo = levels[-1]
+    if last_pair == 0:  # spin 1/2: a single vector
+        count = (twice_m - n_particles * lo) // 2
+        return [(count, n_particles - count)]
     # With `rem` particles left on levels[i:] and `need` twice-magnetization
     # still to place, a count c on level i leaves rem - c particles whose
     # reachable twice-magnetization is [(rem - c)*lo, (rem - c)*levels[i+1]].
@@ -45,13 +48,19 @@ def enumerate_basis(
     out: list[OccupationVector] = []
 
     def recurse(i: int, rem: int, need: int, prefix: tuple[int, ...]) -> None:
-        if i == last_pair:
-            count = (need - rem * lo) // 2
-            out.append(prefix + (count, rem - count))
-            return
         level, hi = levels[i], levels[i + 1]
         cmax = min(rem, (need - rem * lo) // (level - lo))
         cmin = max(0, -((rem * hi - need) // 2))
+        if i == last_pair - 1:
+            # One run: level i is 4 above lo, so each particle taken off it
+            # puts (level - lo)/2 = 2 on the first of the last pair, and the
+            # last three counts step by (-1, +2, -1) from (cmax, y, z).
+            y = (need - rem * lo) // 2 - 2 * cmax
+            z = rem - cmax - y
+            out.extend(
+                [prefix + (cmax - k, y + 2 * k, z - k) for k in range(cmax - cmin + 1)]
+            )
+            return
         for count in range(cmax, cmin - 1, -1):
             recurse(i + 1, rem - count, need - level * count, prefix + (count,))
 

@@ -16,14 +16,15 @@ squared amplitude is an exact rational and each expansion normalizes to 1
 identically (see VALIDATION.md).
 
 `dicke_expansion` and `exact_coefficient_squares` walk the basis in
-enumeration order and keep P as an exact integer: it is built from
-factorials for the first vector only, and each later P follows from the
-previous one through the falling-factorial and weight ratios of the counts
-that changed.  `exact_coefficient_squares` returns P / D as exact
-rationals.  The one floating-point step of `dicke_expansion` is the square
-root of P over the exact sum of the P, which equals D, taken on a scaled
-integer quotient (`_root`), so no square is ever formed in floating point
-and no amplitude that is a normal float underflows.  `coefficient_square`
+enumeration order and keep P as an exact integer: built from factorials at
+the first vector of each run of the basis, and stepped along the run, where
+only the last three counts move, by one exact small-integer ratio.  Both
+raise ArithmeticError unless the P sum to D exactly.
+`exact_coefficient_squares` returns P / D as exact rationals.  The two
+floating-point steps of `dicke_expansion` are the square root of the
+correctly rounded quotient P / D (of the scaled integer quotient, `_root`,
+where that is not above the smallest normal float, so no amplitude that is
+a normal float underflows) and one renormalization.  `coefficient_square`
 evaluates the same formula per vector from factorials and is the
 independent oracle for the walk.  The two rejected readings of the
 weight are rebuilt only in the tests, which show them failing the
@@ -35,7 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial, ldexp, perm, sqrt
+from math import comb, factorial, ldexp, sqrt
+from sys import float_info
 from typing import Iterator
 
 from .basis import OccupationVector, enumerate_basis
@@ -112,30 +114,29 @@ def _walk(
     """The basis and the numerators P of the exact squares C^2 = P / D in
     basis order.
 
-    Moving from one vector to the next multiplies P by a!/b! * w^(b - a)
-    for every level whose count changes from a to b; the factors are
-    collected as an integer fraction and divided out exactly, since every
-    P is an integer.
+    The basis comes in runs that share all counts but the last three, which
+    step by (x, y, z) -> (x - 1, y + 2, z - 1) (`enumerate_basis`).  P is
+    built from factorials at the first vector of each run, and along the
+    run it is multiplied by x z w_y^2 / ((y + 1)(y + 2) w_x w_z), divided
+    out exactly since every P is an integer.
     """
     weights = _level_weight_squares(species)
     basis = enumerate_basis(species, n_particles, twice_m)
+    cut = len(weights) - 3
+    # spin 1/2 has two levels and a single vector, so it never steps
+    w_x, w_y, w_z = weights[cut:] if cut >= 0 else (1, 1, 1)
 
     def numerators() -> Iterator[int]:
-        prev = basis[0]
-        p = factorial(n_particles)
-        for count, w in zip(prev, weights):
-            p = p // factorial(count) * w**count
-        yield p
-        for occ in basis[1:]:
-            up = down = 1
-            for a, b, w in zip(prev, occ, weights):
-                if b < a:
-                    up *= perm(a, a - b)
-                    down *= w ** (a - b)
-                elif b > a:
-                    up *= w ** (b - a)
-                    down *= perm(b, b - a)
-            p = p * up // down
+        prefix = prev = None
+        for occ in basis:
+            if occ[:cut] == prefix:
+                x, y, z = prev[cut:]
+                p = p * (x * z * w_y * w_y) // ((y + 1) * (y + 2) * w_x * w_z)
+            else:
+                prefix = occ[:cut]
+                p = factorial(n_particles)
+                for count, w in zip(occ, weights):
+                    p = p // factorial(count) * w**count
             prev = occ
             yield p
 
@@ -174,13 +175,20 @@ def dicke_expansion(
 ) -> DickeExpansion:
     """Full closed-form expansion of |J = sN, M> over its occupation basis.
 
-    Each root is taken over the exact sum of the numerators, which equals
-    D, and the amplitudes are renormalized once more in floating point.
+    Each amplitude is sqrt of the correctly rounded P / D, or `_root` where
+    that is not above the smallest normal float; then one renormalization.
     """
     basis, numerators = _walk(species, n_particles, twice_m)
-    numerators = list(numerators)
-    total = sum(numerators)
-    amps = [_root(p, total) for p in numerators]
+    twice_j = species.twice_spin * n_particles
+    d = comb(twice_j, (twice_j - abs(twice_m)) // 2)
+    amps = []
+    total = 0
+    for p in numerators:
+        total += p
+        r = p / d
+        amps.append(sqrt(r) if r > float_info.min else _root(p, d))
+    if total != d:
+        raise ArithmeticError("the closed-form squares do not sum to 1")
     norm = sqrt(sum(a * a for a in amps))
     terms = tuple((occ, a / norm) for occ, a in zip(basis, amps))
     return DickeExpansion(species, n_particles, twice_m, terms)
@@ -191,6 +199,9 @@ def exact_coefficient_squares(
 ) -> dict[OccupationVector, Fraction]:
     """Squared amplitudes of the full expansion as exact rationals."""
     basis, numerators = _walk(species, n_particles, twice_m)
+    numerators = list(numerators)
     twice_j = species.twice_spin * n_particles
     denominator = comb(twice_j, (twice_j - abs(twice_m)) // 2)
+    if sum(numerators) != denominator:
+        raise ArithmeticError("the closed-form squares do not sum to 1")
     return {occ: Fraction(p, denominator) for occ, p in zip(basis, numerators)}

@@ -150,6 +150,23 @@ def test_oracle_output_bytes_are_pinned(spin, n, m, capsys):
     assert digest == ORACLE_DIGESTS[spin, n, m]
 
 
+#: sha256 of the .17g CSV each expand command prints, across the walk's
+#: runs, the sub-normal amplitudes of spin 1 N = 2400 and a half-integer M
+EXPAND_DIGESTS = {
+    ("2", "60", "0"): "09dce4f59fd1f63fc13084c1f9509f9f9c9202df9db3b738a9f8daee614201b9",
+    ("1", "2400", "0"): "84c19eaa4c77b75802eb63fff91c1920e514459a9c766af4894e220e965474fd",
+    ("3/2", "41", "1/2"): "e828b90a28baf7730d0e9b03c4d1df0dd4cb03e02b66e310ab15229fe5823916",
+}
+
+
+@pytest.mark.parametrize("spin,n,m", sorted(EXPAND_DIGESTS))
+def test_expand_output_bytes_are_pinned(spin, n, m, capsys):
+    code, out, err = run(["expand", "--spin", spin, "--n", n, "--m", m], capsys)
+    assert code == 0 and err == ""
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == EXPAND_DIGESTS[spin, n, m]
+
+
 @pytest.mark.parametrize("command", ["basis", "expand", "oracle"])
 def test_inputs_past_the_size_caps_exit_2_before_enumerating(
     command, capsys, monkeypatch

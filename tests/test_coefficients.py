@@ -19,7 +19,8 @@ from dicke import (
     level_weight,
     mirror,
 )
-from dicke.coefficients import exact_coefficient_squares
+import dicke.coefficients
+from dicke.coefficients import _root, _walk, exact_coefficient_squares
 
 FOUR_DECIMALS = 5e-5
 
@@ -244,3 +245,73 @@ def test_amplitude_lookup_matches_terms_and_defaults_to_zero():
     first, amp = expansion.terms[0]
     copy[first] = -1.0
     assert expansion.amplitude(first) == amp
+
+
+def test_a_walk_that_does_not_sum_to_one_raises(monkeypatch):
+    """Under the rejected spin-1 weight (1, 4, 1) the squares no longer sum
+    to 1; both routes must refuse rather than renormalize it away."""
+    monkeypatch.setattr(
+        dicke.coefficients, "_level_weight_squares", lambda species: (1, 4, 1)
+    )
+    with pytest.raises(ArithmeticError):
+        dicke_expansion(SPIN_ONE, 10, 0)
+    with pytest.raises(ArithmeticError):
+        exact_coefficient_squares(SPIN_ONE, 10, 0)
+
+
+def _listed_root_expansion(species, n, twice_m):
+    """The previous route: list every numerator, divide by their sum with
+    `_root` and renormalize in floating point."""
+    basis, numerators = _walk(species, n, twice_m)
+    numerators = list(numerators)
+    total = sum(numerators)
+    amps = [_root(p, total) for p in numerators]
+    norm = sqrt(sum(a * a for a in amps))
+    return tuple((occ, a / norm) for occ, a in zip(basis, amps))
+
+
+def test_expansion_equals_the_listed_root_route_on_small_states():
+    for species in ALL_SPECIES:
+        for n in range(1, 13):
+            tj = species.twice_spin * n
+            for tm in range(-tj, tj + 1, 2):
+                expected = _listed_root_expansion(species, n, tm)
+                assert dicke_expansion(species, n, tm).terms == expected
+
+
+@pytest.mark.parametrize(
+    "species, n", [(SPIN_ONE, 2400), (SPIN_TWO, 60), (SPIN_THREE_HALVES, 40)]
+)
+def test_expansion_equals_the_listed_root_route_on_large_states(species, n):
+    terms = dicke_expansion(species, n, 0).terms
+    assert terms == _listed_root_expansion(species, n, 0)
+    if species is SPIN_ONE:
+        sub_float = [a for _, a in terms if a < sys.float_info.min]
+        assert (len(sub_float), sub_float.count(0.0)) == (52, 34)
+
+
+#: a ratio just below the smallest normal float that int / int division
+#: rounds up to it: there sqrt(p / d) is 0x1p-511 but the root of the ratio
+#: itself is 0x1.fffffffffffffp-512
+BOUNDARY_P, BOUNDARY_D = 2**78 - 20132659, 2**1100
+
+
+def test_root_of_a_ratio_rounded_up_to_the_smallest_normal():
+    p, d = BOUNDARY_P, BOUNDARY_D
+    assert p / d == sys.float_info.min
+    assert sqrt(p / d) == float.fromhex("0x1p-511")
+    assert _root(p, d) == float.fromhex("0x1.fffffffffffffp-512")
+
+
+def test_expansion_takes_the_scaled_root_at_the_smallest_normal(monkeypatch):
+    """A numerator whose quotient rounds to exactly the smallest normal float
+    goes through `_root`, not through sqrt of the rounded quotient."""
+    d = comb(1200, 600)  # D of spin 1, N = 600, M = 0
+    p = d * BOUNDARY_P // BOUNDARY_D
+    assert p / d == sys.float_info.min
+    monkeypatch.setattr(
+        dicke.coefficients, "_walk", lambda *state: ([(0,), (1,)], iter([p, d - p]))
+    )
+    (_, small), (_, large) = dicke_expansion(SPIN_ONE, 600, 0).terms
+    assert small == float.fromhex("0x1.fffffffffffffp-512")
+    assert large == 1.0

@@ -3,6 +3,7 @@ half-integer and negative ones included: the basis walk, the packed-key
 ladder walks held bit for bit to a tuple-key reference, and the spin-1
 entanglement layer."""
 
+import sys
 from fractions import Fraction
 from math import comb, isclose, sqrt
 
@@ -26,7 +27,7 @@ from dicke import (
     oracle_expansion,
     partial_transpose,
 )
-from dicke.coefficients import _walk, exact_coefficient_squares
+from dicke.coefficients import _root, _walk, exact_coefficient_squares
 from dicke.entanglement import (
     RHO_BASIS,
     TwoQuditDensity,
@@ -90,6 +91,26 @@ def test_walk_numerators_equal_the_per_vector_formula(state):
     denominator = comb(twice_j, (twice_j - abs(twice_m)) // 2)
     for occ, p in zip(basis, numerators):
         assert Fraction(p, denominator) == coefficient_square(species, n, twice_m, occ)
+
+
+def _assert_fast_root_agrees(p, d):
+    ratio = p / d
+    if ratio > sys.float_info.min:
+        assert sqrt(ratio) == _root(p, d)
+
+
+@given(st.integers(0, 2**5000), st.integers(1, 2**5000))
+def test_root_of_the_rounded_quotient_is_the_scaled_root(a, b):
+    """Above the smallest normal float, sqrt of the correctly rounded int /
+    int quotient equals `_root`, the root of the scaled exact quotient."""
+    _assert_fast_root_agrees(min(a, b), max(a, b))
+
+
+@given(st.integers(1, 2**120), st.integers(-2, 2), st.integers(-(2**64), 2**64))
+def test_scaled_root_agrees_near_the_smallest_normal(p, shift, jitter):
+    """Ratios within a factor of about 5 of 2^-1022 on either side."""
+    d = p << (1022 + shift)
+    _assert_fast_root_agrees(p, d + ((d >> 2) * jitter >> 64))
 
 
 @settings(deadline=None)
