@@ -8,20 +8,50 @@ conservation laws
 
 `enumerate_basis` solves this Diophantine system directly and is the
 authoritative enumeration; `basis_size` counts its vectors without
-building them.  `enumeration_bounds`, `parametric_count` and
-`parametric_basis` transcribe an alternative bound/index parametrization of
-the same bases; it is retained verbatim as a cross-check because it does not
-reproduce the direct enumeration everywhere (the `basis` CLI reports both
-counts side by side and flags disagreements; see VALIDATION.md).
+building them.  Its recursion, `_runs`, yields runs of vectors in which
+only the last three counts move; the closed-form walk reads them too.
+`enumeration_bounds`, `parametric_count` and `parametric_basis` transcribe
+an alternative bound/index parametrization of the same bases; it is
+retained verbatim as a cross-check because it does not reproduce the direct
+enumeration everywhere (the `basis` CLI reports both counts side by side
+and flags disagreements; see VALIDATION.md).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .species import DomainError, SpinSpecies, check_domain  # re-exported
 
 OccupationVector = tuple[int, ...]
+Run = tuple[tuple[int, ...], int, int, int, int]
+
+
+def _runs(
+    levels: tuple[int, ...], rem: int, need: int, i: int = 0, prefix: tuple = ()
+) -> Iterator[Run]:
+    """The vectors that start with `prefix`, the counts of levels[:i], with
+    `rem` particles and twice-magnetization `need` left, as runs in order:
+    (prefix, x, y, z, length) stands for prefix + (x - k, y + 2k, z - k),
+    k < length.  The caller checks the domain; there are 3 or more levels."""
+    # A count c on level i leaves rem - c particles whose reachable
+    # twice-magnetization is [(rem - c)*lo, (rem - c)*levels[i+1]].  Adjacent
+    # levels differ by 2 and check_domain fixed the parity, so every c in the
+    # resulting [cmin, cmax] completes to at least one vector, and on the
+    # last two levels the count is determined.
+    lo, level, hi = levels[-1], levels[i], levels[i + 1]
+    cmax = min(rem, (need - rem * lo) // (level - lo))
+    cmin = max(0, -((rem * hi - need) // 2))
+    if i == len(levels) - 3:
+        # One run: level i is 4 above lo, so each particle taken off it puts
+        # (level - lo)/2 = 2 on the first of the last pair, and the last
+        # three counts step by (-1, +2, -1) from (cmax, y, z).
+        y = (need - rem * lo) // 2 - 2 * cmax
+        yield prefix, cmax, y, rem - cmax - y, cmax - cmin + 1
+        return
+    for c in range(cmax, cmin - 1, -1):
+        yield from _runs(levels, rem - c, need - level * c, i + 1, prefix + (c,))
 
 
 def enumerate_basis(
@@ -33,39 +63,14 @@ def enumerate_basis(
     Raises DomainError when |M| > s*N or the parity of M is unreachable.
     """
     check_domain(species, n_particles, twice_m)
-    levels = species.twice_levels
-    last_pair = len(levels) - 2
-    lo = levels[-1]
-    if last_pair == 0:  # spin 1/2: a single vector
-        count = (twice_m - n_particles * lo) // 2
+    if species.n_levels == 2:  # spin 1/2: a single vector
+        count = (twice_m + n_particles) // 2
         return [(count, n_particles - count)]
-    # With `rem` particles left on levels[i:] and `need` twice-magnetization
-    # still to place, a count c on level i leaves rem - c particles whose
-    # reachable twice-magnetization is [(rem - c)*lo, (rem - c)*levels[i+1]].
-    # Adjacent levels differ by 2 and check_domain fixed the parity, so every
-    # c in the resulting [cmin, cmax] completes to at least one vector, and
-    # on the last two levels the count is determined.
-    out: list[OccupationVector] = []
-
-    def recurse(i: int, rem: int, need: int, prefix: tuple[int, ...]) -> None:
-        level, hi = levels[i], levels[i + 1]
-        cmax = min(rem, (need - rem * lo) // (level - lo))
-        cmin = max(0, -((rem * hi - need) // 2))
-        if i == last_pair - 1:
-            # One run: level i is 4 above lo, so each particle taken off it
-            # puts (level - lo)/2 = 2 on the first of the last pair, and the
-            # last three counts step by (-1, +2, -1) from (cmax, y, z).
-            y = (need - rem * lo) // 2 - 2 * cmax
-            z = rem - cmax - y
-            out.extend(
-                [prefix + (cmax - k, y + 2 * k, z - k) for k in range(cmax - cmin + 1)]
-            )
-            return
-        for count in range(cmax, cmin - 1, -1):
-            recurse(i + 1, rem - count, need - level * count, prefix + (count,))
-
-    recurse(0, n_particles, twice_m, ())
-    return out
+    return [
+        prefix + (x - k, y + 2 * k, z - k)
+        for prefix, x, y, z, length in _runs(species.twice_levels, n_particles, twice_m)
+        for k in range(length)
+    ]
 
 
 def lowering_depth_sizes(

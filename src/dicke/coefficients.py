@@ -15,11 +15,11 @@ The validated weight is d_m = sqrt(binomial(2s, s - m)); with it every
 squared amplitude is an exact rational and each expansion normalizes to 1
 identically (see VALIDATION.md).
 
-`dicke_expansion` and `exact_coefficient_squares` walk the basis in
-enumeration order and keep P as an exact integer: built from factorials at
-the first vector of each run of the basis, and stepped along the run, where
-only the last three counts move, by one exact small-integer ratio.  Both
-raise ArithmeticError unless the P sum to D exactly.
+`dicke_expansion` and `exact_coefficient_squares` walk the basis run by
+run (`basis._runs`) and keep P as an exact integer: the product of
+binomials and weights over the counts of a run's first vector, and along
+the run, where only the last three counts move, one exact small-integer
+step per vector.  Both raise ArithmeticError unless the P sum to D exactly.
 `exact_coefficient_squares` returns P / D as exact rationals.  The two
 floating-point steps of `dicke_expansion` are the square root of the
 correctly rounded quotient P / D (of the scaled integer quotient, `_root`,
@@ -36,12 +36,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import comb, factorial, ldexp, sqrt
+from operator import mul, truediv
 from sys import float_info
-from typing import Iterator
+from typing import Callable, TypeVar
 
-from .basis import OccupationVector, enumerate_basis
+from .basis import OccupationVector, _runs, enumerate_basis
 from .species import DomainError, SpinSpecies, check_domain
+
+V = TypeVar("V")
 
 #: bits of precision kept in the scaled quotient whose square root `_root` takes
 _ROOT_BITS = 120
@@ -109,38 +113,45 @@ def closed_form_coefficient(
 
 
 def _walk(
-    species: SpinSpecies, n_particles: int, twice_m: int
-) -> tuple[list[OccupationVector], Iterator[int]]:
-    """The basis and the numerators P of the exact squares C^2 = P / D in
-    basis order.
-
-    The basis comes in runs that share all counts but the last three, which
-    step by (x, y, z) -> (x - 1, y + 2, z - 1) (`enumerate_basis`).  P is
-    built from factorials at the first vector of each run, and along the
-    run it is multiplied by x z w_y^2 / ((y + 1)(y + 2) w_x w_z), divided
-    out exactly since every P is an integer.
+    species: SpinSpecies, n_particles: int, twice_m: int, value: Callable[[int, int], V]
+) -> tuple[list[OccupationVector], list[V]]:
+    """The basis and value(P, D) for each vector, where C^2 = P / D; raises
+    ArithmeticError unless the P sum to D.  A run prefix + (x - k, y + 2k,
+    z - k) starts at P = prod_m binomial(r_m, n_m) w_m^{n_m}, r_m being the
+    particles on level m and below, and each step multiplies P by
+    x z w_y^2 / ((y + 1)(y + 2) w_x w_z), exactly since every P is an integer.
     """
+    check_domain(species, n_particles, twice_m)
+    twice_j = species.twice_spin * n_particles
+    d = comb(twice_j, (twice_j - abs(twice_m)) // 2)
     weights = _level_weight_squares(species)
-    basis = enumerate_basis(species, n_particles, twice_m)
-    cut = len(weights) - 3
-    # spin 1/2 has two levels and a single vector, so it never steps
-    w_x, w_y, w_z = weights[cut:] if cut >= 0 else (1, 1, 1)
+    if len(weights) == 2:  # spin 1/2: one vector, whose P is binomial(N, n_+) = D
+        return enumerate_basis(species, n_particles, twice_m), [value(d, d)]
+    basis, values, total = [], [], 0
+    *head, w_x, w_y, w_z = weights
+    up, down = w_y * w_y, w_x * w_z
+    for prefix, x, y, z, size in _runs(species.twice_levels, n_particles, twice_m):
+        p, rem = 1, n_particles
+        for count, w in zip(prefix, head):
+            p *= comb(rem, count) * w**count
+            rem -= count
+        p *= comb(rem, x) * comb(rem - x, y) * w_x**x * w_y**y * w_z**z
+        for k in range(size):
+            if k:
+                p = p * (x * z * up) // ((y + 1) * (y + 2) * down)
+                x, y, z = x - 1, y + 2, z - 1
+            basis.append(prefix + (x, y, z))
+            total += p
+            values.append(value(p, d))
+    if total != d:
+        raise ArithmeticError("the closed-form squares do not sum to 1")
+    return basis, values
 
-    def numerators() -> Iterator[int]:
-        prefix = prev = None
-        for occ in basis:
-            if occ[:cut] == prefix:
-                x, y, z = prev[cut:]
-                p = p * (x * z * w_y * w_y) // ((y + 1) * (y + 2) * w_x * w_z)
-            else:
-                prefix = occ[:cut]
-                p = factorial(n_particles)
-                for count, w in zip(occ, weights):
-                    p = p // factorial(count) * w**count
-            prev = occ
-            yield p
 
-    return basis, numerators()
+def _amplitude(p: int, d: int) -> float:
+    """sqrt(P / D) as `dicke_expansion` describes it."""
+    r = p / d
+    return sqrt(r) if r > float_info.min else _root(p, d)
 
 
 @dataclass(frozen=True)
@@ -178,19 +189,9 @@ def dicke_expansion(
     Each amplitude is sqrt of the correctly rounded P / D, or `_root` where
     that is not above the smallest normal float; then one renormalization.
     """
-    basis, numerators = _walk(species, n_particles, twice_m)
-    twice_j = species.twice_spin * n_particles
-    d = comb(twice_j, (twice_j - abs(twice_m)) // 2)
-    amps = []
-    total = 0
-    for p in numerators:
-        total += p
-        r = p / d
-        amps.append(sqrt(r) if r > float_info.min else _root(p, d))
-    if total != d:
-        raise ArithmeticError("the closed-form squares do not sum to 1")
-    norm = sqrt(sum(a * a for a in amps))
-    terms = tuple((occ, a / norm) for occ, a in zip(basis, amps))
+    basis, amps = _walk(species, n_particles, twice_m, _amplitude)
+    norm = sqrt(sum(map(mul, amps, amps)))
+    terms = tuple(zip(basis, map(truediv, amps, repeat(norm))))
     return DickeExpansion(species, n_particles, twice_m, terms)
 
 
@@ -198,10 +199,4 @@ def exact_coefficient_squares(
     species: SpinSpecies, n_particles: int, twice_m: int
 ) -> dict[OccupationVector, Fraction]:
     """Squared amplitudes of the full expansion as exact rationals."""
-    basis, numerators = _walk(species, n_particles, twice_m)
-    numerators = list(numerators)
-    twice_j = species.twice_spin * n_particles
-    denominator = comb(twice_j, (twice_j - abs(twice_m)) // 2)
-    if sum(numerators) != denominator:
-        raise ArithmeticError("the closed-form squares do not sum to 1")
-    return {occ: Fraction(p, denominator) for occ, p in zip(basis, numerators)}
+    return dict(zip(*_walk(species, n_particles, twice_m, Fraction)))

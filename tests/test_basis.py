@@ -263,3 +263,19 @@ def test_past_cap_agrees_with_the_exact_sizes():
                     )
     with pytest.raises(DomainError):
         past_cap(SPIN_TWO, 400, 1601 * 2, 10)
+
+
+#: sha256 of every basis of every species, N <= 12 and every M, in order
+ENUMERATION_DIGEST = "0e93fa55412b7f7092b05a1ba843d3ad52bf2c2fd001af2996c75cdf5eaf89dd"
+
+
+def test_enumeration_is_pinned():
+    digest = hashlib.sha256()
+    for species in ALL_SPECIES:
+        for n in range(1, 13):
+            twice_j = species.twice_spin * n
+            for twice_m in range(-twice_j, twice_j + 1, 2):
+                for occ in enumerate_basis(species, n, twice_m):
+                    digest.update(repr(occ).encode() + b"\n")
+                digest.update(b"\n")
+    assert digest.hexdigest() == ENUMERATION_DIGEST

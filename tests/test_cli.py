@@ -285,6 +285,47 @@ def test_figures_shape_violation_exits_4(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "fig1.csv").exists()  # nothing written on failure
 
 
+def _figures_with_sweeps(tmp_path, capsys, monkeypatch, dicke_value, equal_value):
+    """Run `figures` on made-up sweeps: value(n, 2M) per family."""
+
+    def sweep(family, n, twice_ms=None):
+        value = dicke_value if family == "dicke" else equal_value
+        return [(tm, value(n, tm)) for tm in range(0, 2 * n + 1, 2)]
+
+    monkeypatch.setattr(dicke.entanglement, "negativity_sweep", sweep)
+    return run(["figures", "--out-dir", str(tmp_path)], capsys)
+
+
+def test_figures_checks_the_equal_state_at_m0_not_at_the_next_m(
+    tmp_path, capsys, monkeypatch
+):
+    """The equal state ties the Dicke state at M = 0 and beats it at M = 1."""
+    code, _, err = _figures_with_sweeps(
+        tmp_path, capsys, monkeypatch,
+        lambda n, tm: 1.0 / (n * (1 + tm)),
+        lambda n, tm: 1.0 / n if tm == 0 else 1.0,
+    )
+    assert code == 4
+    assert "does not beat the Dicke state at M=0, N=30" in err
+    assert "N=80" in err and "does not decrease" not in err
+    assert not (tmp_path / "fig1.csv").exists()
+
+
+def test_figures_checks_the_decrease_with_n_at_m0_not_at_the_next_m(
+    tmp_path, capsys, monkeypatch
+):
+    """The Dicke M = 0 negativity is flat in N; at M = 1 it decreases."""
+    code, _, err = _figures_with_sweeps(
+        tmp_path, capsys, monkeypatch,
+        lambda n, tm: 1.0 if tm == 0 else 0.5 / (n * (1 + tm)),
+        lambda n, tm: 2.0,
+    )
+    assert code == 4
+    assert "M=0 negativity does not decrease from N=20 to N=30" in err
+    assert "does not beat" not in err
+    assert not (tmp_path / "fig1.csv").exists()
+
+
 def test_antisym_spin2_lists_26_states(capsys):
     code, out, _ = run(["antisym", "--spin", "2"], capsys)
     assert code == 0

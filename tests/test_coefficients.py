@@ -1,5 +1,7 @@
+import operator
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, exp, isqrt, lgamma, log, sqrt
 
 import pytest
@@ -259,12 +261,24 @@ def test_a_walk_that_does_not_sum_to_one_raises(monkeypatch):
         exact_coefficient_squares(SPIN_ONE, 10, 0)
 
 
-def _listed_root_expansion(species, n, twice_m):
-    """The previous route: list every numerator, divide by their sum with
-    `_root` and renormalize in floating point."""
-    basis, numerators = _walk(species, n, twice_m)
-    numerators = list(numerators)
+def _listed_root_expansion(species, n, twice_m, stride=1):
+    """The per-vector route: every numerator P = N!/prod(n_m!) prod(w_m^n_m)
+    from a factorial table, the formula of `coefficient_square` (checked
+    against it at every `stride`-th vector), divided by the sum of all P with
+    `_root` and renormalized in floating point."""
+    factorials = list(accumulate(range(1, n + 1), operator.mul, initial=1))
+    ts = species.twice_spin
+    weights = [comb(ts, (ts - tm) // 2) for tm in species.twice_levels]
+    basis = enumerate_basis(species, n, twice_m)
+    numerators = []
+    for occ in basis:
+        p = factorials[n]
+        for count, w in zip(occ, weights):
+            p = p // factorials[count] * w**count
+        numerators.append(p)
     total = sum(numerators)
+    for occ, p in list(zip(basis, numerators))[::stride]:
+        assert Fraction(p, total) == coefficient_square(species, n, twice_m, occ)
     amps = [_root(p, total) for p in numerators]
     norm = sqrt(sum(a * a for a in amps))
     return tuple((occ, a / norm) for occ, a in zip(basis, amps))
@@ -284,7 +298,7 @@ def test_expansion_equals_the_listed_root_route_on_small_states():
 )
 def test_expansion_equals_the_listed_root_route_on_large_states(species, n):
     terms = dicke_expansion(species, n, 0).terms
-    assert terms == _listed_root_expansion(species, n, 0)
+    assert terms == _listed_root_expansion(species, n, 0, stride=97)
     if species is SPIN_ONE:
         sub_float = [a for _, a in terms if a < sys.float_info.min]
         assert (len(sub_float), sub_float.count(0.0)) == (52, 34)
@@ -309,9 +323,11 @@ def test_expansion_takes_the_scaled_root_at_the_smallest_normal(monkeypatch):
     d = comb(1200, 600)  # D of spin 1, N = 600, M = 0
     p = d * BOUNDARY_P // BOUNDARY_D
     assert p / d == sys.float_info.min
-    monkeypatch.setattr(
-        dicke.coefficients, "_walk", lambda *state: ([(0,), (1,)], iter([p, d - p]))
-    )
+
+    def walk(species, n, twice_m, value):
+        return [(0,), (1,)], [value(p, d), value(d - p, d)]
+
+    monkeypatch.setattr(dicke.coefficients, "_walk", walk)
     (_, small), (_, large) = dicke_expansion(SPIN_ONE, 600, 0).terms
     assert small == float.fromhex("0x1.fffffffffffffp-512")
     assert large == 1.0

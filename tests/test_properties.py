@@ -86,11 +86,12 @@ def test_enumeration_equals_brute_force(state):
 @given(STATES)
 def test_walk_numerators_equal_the_per_vector_formula(state):
     species, n, twice_m = state
-    basis, numerators = _walk(species, n, twice_m)
+    basis, pairs = _walk(species, n, twice_m, lambda p, d: (p, d))
     twice_j = species.twice_spin * n
     denominator = comb(twice_j, (twice_j - abs(twice_m)) // 2)
-    for occ, p in zip(basis, numerators):
-        assert Fraction(p, denominator) == coefficient_square(species, n, twice_m, occ)
+    for occ, (p, d) in zip(basis, pairs):
+        assert d == denominator
+        assert Fraction(p, d) == coefficient_square(species, n, twice_m, occ)
 
 
 def _assert_fast_root_agrees(p, d):

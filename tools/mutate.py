@@ -8,8 +8,9 @@ With no function named, the whole module is mutated.  The repository is
 copied to a temporary directory (TMPDIR) and each mutant is written there,
 so the working tree is never touched; pytest runs in the copy with -x.  A
 mutant whose run passes survives and is printed with its line and column.
-One pytest run per mutant makes this slow, so it is a manual probe, not a
-CI step.
+One pytest run per mutant makes this slow, so it is a manual probe.
+SIGTERM stops it together with the pytest run in progress, and the copy is
+still removed.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import ast
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -67,7 +69,13 @@ def passes(copy: Path, tests: list[str]) -> bool:
         return False
 
 
+def stop(signum: int, frame: object) -> None:
+    """Unwind as on an error: subprocess.run kills its child on the way."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str]) -> int:
+    signal.signal(signal.SIGTERM, stop)
     if "--" not in argv:
         print(__doc__, file=sys.stderr)
         return 2
