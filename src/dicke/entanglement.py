@@ -1,55 +1,54 @@
-"""Two-qudit negativity for spin-1 pairs and pair reductions of symmetric
-many-particle states.
-
-The 9-dimensional product basis is pinned, in this order, to
+"""Two-qudit negativity and pair reductions of symmetric many-particle
+states, on the d^2 level pairs (m1, m2) of two d-level particles sorted by
+(|m1 + m2|, -(m1 + m2), -m1) (`pair_basis`); for spin 1 (`RHO_BASIS`):
 
     ud, 00, du, u0, 0u, 0d, d0, uu, dd        (u, 0, d: the m = +1, 0, -1 levels)
 
-Negativity is always evaluated with one eigensolve of the full 9x9 partial
+Negativity is always evaluated with one eigensolve of the full partial
 transpose (which `symmetric_eigenvalues` splits along its exact zeros); for
-Dicke pair reductions the iteration-free closed form
+spin-1 Dicke pair reductions the iteration-free closed form
 (`dicke_pair_negativity`) is a second route that is validated against it,
-never trusted alone.  Dicke pair reductions are exact mixtures of the
-five two-particle J = 2 states (`dicke_pair_reduction`, O(1) in N); the
-occupation moments of an expansion (`two_body_elements`, which the
-equal-probability family uses) and the brute-force partial trace are the
-routes they are tested against.
+never trusted alone.  The pair reduction of an expansion of any species is
+the correlator `two_body_elements`; spin-1 Dicke pair reductions are also
+exact mixtures of the five two-particle J = 2 states
+(`dicke_pair_reduction`, O(1) in N).  The brute-force partial trace is the
+oracle for both.
 """
 
 from __future__ import annotations
 
 import random
 from collections import namedtuple
-from itertools import permutations
-from math import acos, comb, cos, factorial, perm, sqrt
+from functools import cache
+from itertools import combinations_with_replacement, permutations, product, repeat
+from math import acos, comb, cos, isqrt, perm, sqrt
+from operator import add, mul
 
 from .linalg import Matrix, symmetric_eigenvalues
 from .species import SPIN_ONE, DomainError, SpinSpecies, check_domain
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # the pure-state path imports no family machinery
+    from collections.abc import Iterator
     from fractions import Fraction
 
     from .coefficients import DickeExpansion
 
 LevelPair = tuple[int, int]  # (twice-m of particle 1, twice-m of particle 2)
 
-#: density-matrix basis order
-RHO_BASIS: tuple[LevelPair, ...] = (
-    (2, -2), (0, 0), (-2, 2),
-    (2, 0), (0, 2), (0, -2), (-2, 0),
-    (2, 2), (-2, -2),
-)
 
-_INDEX = {pair: i for i, pair in enumerate(RHO_BASIS)}
+@cache
+def pair_basis(species: SpinSpecies) -> tuple[LevelPair, ...]:
+    """The level pairs of two particles of `species`, in density-matrix
+    order: sorted by |m1 + m2|, then by m1 + m2 and m1, both descending."""
+    pairs = product(species.twice_levels, repeat=2)
+    return tuple(sorted(pairs, key=lambda p: (abs(sum(p)), -sum(p), -p[0])))
 
-#: partial_transpose(rho)[r][c] == rho[i][j] for (i, j) = _PT_SOURCE[r][c]
-_PT_SOURCE: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-    tuple((_INDEX[(a, d)], _INDEX[(c, b)]) for c, d in RHO_BASIS)
-    for a, b in RHO_BASIS
-)
 
-StateVector = tuple[float, ...]  # 9 real amplitudes in RHO_BASIS order
+#: density-matrix basis order of spin-1 pairs
+RHO_BASIS = pair_basis(SPIN_ONE)
+
+StateVector = tuple[float, ...]  # d^2 real amplitudes in pair_basis order
 
 #: largest allowed |trace - 1| of a density matrix
 TRACE_TOLERANCE = 1e-12
@@ -57,9 +56,18 @@ TRACE_TOLERANCE = 1e-12
 PSD_TOLERANCE = 1e-10
 
 
+@cache
+def _pair_species(size: int) -> SpinSpecies:
+    """The species whose pairs span `size` = d^2 dimensions (d = 2s + 1)."""
+    d = isqrt(size)
+    if d * d != size or not 2 <= d <= 5:
+        raise DomainError(f"{size} is not d^2 for a pair of d = 2..5 levels")
+    return SpinSpecies(d - 1)
+
+
 class TwoQuditDensity(namedtuple("TwoQuditDensity", "entries")):
-    """Real symmetric trace-1 matrix on the pinned two-qutrit basis; its
-    `entries` are an immutable tuple of rows."""
+    """Real symmetric trace-1 matrix on the pair basis of two d-level
+    particles (side d^2); its `entries` are an immutable tuple of rows."""
 
     __slots__ = ()
 
@@ -70,8 +78,9 @@ class TwoQuditDensity(namedtuple("TwoQuditDensity", "entries")):
         """Shape, trace and PSD checks; `symmetric_eigenvalues` checks the
         rest."""
         m = self.matrix()
-        if len(m) != 9 or any(len(row) != 9 for row in m):
-            raise DomainError("a two-qutrit density matrix must be 9x9")
+        _pair_species(len(m))
+        if any(len(row) != len(m) for row in m):
+            raise DomainError("a two-qudit density matrix must be square")
         trace = sum(m[i][i] for i in range(len(m)))
         if not abs(trace - 1.0) <= TRACE_TOLERANCE:
             raise DomainError(f"trace is {trace!r}, not 1")
@@ -97,9 +106,8 @@ def _as_density(entries: Matrix) -> TwoQuditDensity:
 
 
 def density_of(state: StateVector) -> TwoQuditDensity:
-    """Projector onto a normalized pure two-qutrit state."""
-    if len(state) != 9:
-        raise DomainError(f"a two-qutrit state has 9 components, not {len(state)}")
+    """Projector onto a normalized pure two-qudit state."""
+    _pair_species(len(state))
     norm_sq = sum(a * a for a in state)
     if not abs(norm_sq - 1.0) <= 1e-10:
         raise DomainError(f"state vector norm^2 is {norm_sq!r}, not 1")
@@ -122,7 +130,7 @@ def named_two_qutrit_state(name: str, params: tuple[float, ...] = ()) -> StateVe
     vec = [0.0] * 9
 
     def put(pair: LevelPair, amp: float) -> None:
-        vec[_INDEX[pair]] = amp
+        vec[RHO_BASIS.index(pair)] = amp
 
     if name == "bg":
         for pair in ((2, 2), (0, 0), (-2, -2)):
@@ -155,18 +163,26 @@ def named_two_qutrit_state(name: str, params: tuple[float, ...] = ()) -> StateVe
     return tuple(vec)
 
 
-def partial_transpose(rho: TwoQuditDensity) -> Matrix:
-    """Transpose on the second factor: <ab|rho^T|a'b'> = <ab'|rho|a'b>.
+@cache
+def _pt_source(species: SpinSpecies) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """partial_transpose(rho)[r][c] == rho[i][j] for (i, j) = _pt_source[r][c]."""
+    basis = pair_basis(species)
+    index = {pair: i for i, pair in enumerate(basis)}
+    return tuple(tuple((index[a, d], index[c, b]) for c, d in basis) for a, b in basis)
 
-    Input and output are both indexed in RHO_BASIS order.
+
+def partial_transpose(rho: TwoQuditDensity) -> Matrix:
+    """Transpose on the second factor: <ab|rho^T2|cd> = <ad|rho|cb>.
+
+    Input and output are both indexed in `pair_basis` order.
     """
     m = rho.entries
-    return [[m[i][j] for i, j in row] for row in _PT_SOURCE]
+    return [[m[i][j] for i, j in row] for row in _pt_source(_pair_species(len(m)))]
 
 
 def negativity(rho: TwoQuditDensity) -> NegativityReport:
     """Sum of absolute values of negative partial-transpose eigenvalues,
-    from the full 9x9 diagonalization."""
+    from the full d^2 x d^2 diagonalization."""
     eigenvalues = symmetric_eigenvalues(partial_transpose(rho))
     negatives = tuple(e for e in eigenvalues if e < 0.0)
     return NegativityReport(-sum(negatives), negatives)
@@ -176,33 +192,30 @@ def has_pair_reduction_block_structure(
     rho: TwoQuditDensity, tol: float = 1e-12
 ) -> bool:
     """True when rho conserves m1 + m2, as the pair reduction of any
-    fixed-M symmetric state does: every entry between RHO_BASIS pairs of
+    fixed-M symmetric state does: every entry between level pairs of
     different total m vanishes to within `tol`."""
-    total = [a + b for a, b in RHO_BASIS]
     m = rho.entries
+    total = [a + b for a, b in pair_basis(_pair_species(len(m)))]
     return all(
         abs(m[i][j]) <= tol
-        for i in range(9)
-        for j in range(9)
-        if total[i] != total[j]
+        for i, ti in enumerate(total)
+        for j, tj in enumerate(total)
+        if ti != tj
     )
 
 
 def schmidt_negativity(state: StateVector) -> float:
     """Pure-state oracle: negativity = sum_{i<j} s_i s_j over Schmidt
-    coefficients, read off the singular values of the 3x3 amplitude matrix.
+    coefficients, read off the singular values of the d x d amplitude
+    matrix.
 
     Independent of the partial-transpose code path.
     """
-    levels = (2, 0, -2)
-    amp = [
-        [state[_INDEX[(a, b)]] for b in levels]
-        for a in levels
-    ]
-    gram = [
-        [sum(amp[k][i] * amp[k][j] for k in range(3)) for j in range(3)]
-        for i in range(3)
-    ]
+    species = _pair_species(len(state))
+    basis, levels = pair_basis(species), species.twice_levels
+    # column b of the amplitude matrix <ab|state>
+    columns = [[state[basis.index((a, b))] for a in levels] for b in levels]
+    gram = [[sum(map(mul, u, v)) for v in columns] for u in columns]
     singular = [sqrt(max(e, 0.0)) for e in symmetric_eigenvalues(gram)]
     total = sum(singular)
     return (total * total - sum(s * s for s in singular)) / 2.0
@@ -211,102 +224,89 @@ def schmidt_negativity(state: StateVector) -> float:
 # -- pair reductions of many-particle symmetric states ------------------------
 
 
-def _require_spin_one(x: DickeExpansion) -> None:
-    if x.species != SPIN_ONE:
-        raise DomainError("pair reductions are implemented for spin 1 only")
+@cache
+def _correlator_plan(species: SpinSpecies) -> tuple:
+    """One entry per two unordered level pairs {i, j}, {k, l} of equal total
+    m, as sorted level indices (i lowerings from m = s): both pairs, the
+    occupation shift e_i + e_j - e_k - e_l, and the pair-basis cells (ab, cd)
+    and (cd, ab) with {a, b} = {i, j} and {c, d} = {k, l}."""
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for position, pair in enumerate(pair_basis(species)):
+        ij = tuple(sorted((species.twice_spin - tm) // 2 for tm in pair))
+        classes.setdefault(ij, []).append(position)
+    plan = []
+    for (ij, rows), (kl, cols) in combinations_with_replacement(classes.items(), 2):
+        if sum(ij) == sum(kl):
+            shift = tuple(ij.count(v) - kl.count(v) for v in range(species.n_levels))
+            cells = {(r, c) for r in rows for c in cols}
+            plan.append((ij, kl, shift, tuple(cells | {(c, r) for r, c in cells})))
+    return tuple(plan)
 
 
-def two_body_elements(x: DickeExpansion) -> dict[str, float]:
-    """The 13 independent pair-reduction matrix elements of a fixed-M
-    spin-1 symmetric state, from its occupation statistics.
+def two_body_elements(x: DickeExpansion) -> Matrix:
+    """Pair reduction of a fixed-M symmetric state, in `pair_basis` order:
+    <ab|rho|cd> = <a+_a a+_b a_d a_c> / N(N-1) over the occupation
+    expansion (a+ creates a particle in a level, a removes one).
 
-    Keys a1..a9, b1..b3, c1, c2 name the entries of the blocks: a1, a2, a3
-    and the coherences c1, c2, b3 fill the 3x3 block on (ud, 00, du); a4,
-    a5, b1 the 2x2 block on (u0, 0u); a6, a7, b2 the 2x2 block on (0d, d0);
-    a8 and a9 are the uu and dd populations.  a1 is fixed by the ud <-> du
-    exchange symmetry of permutation-symmetric states; trace closure is
-    checked downstream.
+    The entry depends only on the unordered pairs {a, b} and {c, d}, and
+    vanishes unless they have equal total m.  A population ({a, b} =
+    {c, d}) is E[n_a (n_b - [a = b])]; a coherence is one pass over the
+    terms, each paired with the vector that has one particle moved from
+    each of c, d to each of a, b.  Trace closure is checked downstream.
     """
-    _require_spin_one(x)
     n = x.n_particles
     if n < 2:
         raise DomainError("pair reduction needs at least two particles")
     den = float(n * (n - 1))
-    m = x.twice_m / 2.0
-    terms = x.as_dict()
+    occs, amps = zip(*x.terms)
+    squares = list(map(mul, amps, amps))
+    counts = list(zip(*occs))
+    position = dict(zip(occs, range(len(occs))))
 
-    def moment(f) -> float:
-        return sum(a * a * f(*occ) for occ, a in terms.items())
+    def pair_counts(i: int, j: int) -> Iterator[int]:
+        """n_i (n_j - [i = j]) of every term."""
+        if i == j:
+            return map(mul, counts[i], map(add, counts[i], repeat(-1)))
+        return map(mul, counts[i], counts[j])
 
-    pop_out_of_zero = moment(lambda n1, n0, nm: (n - n0) / n)
-    cross_pairs = moment(lambda n1, n0, nm: n1 * nm)
-    up_pairs = moment(lambda n1, n0, nm: n1 * (n1 - 1))
-    down_pairs = moment(lambda n1, n0, nm: nm * (nm - 1))
-
-    a2 = 1.0 - 2.0 * pop_out_of_zero + 2.0 / den * (
-        cross_pairs + 0.5 * (up_pairs + down_pairs)
-    )
-    a3 = cross_pairs / den
-    a4 = 0.5 * pop_out_of_zero + m / (2.0 * n) - (cross_pairs + up_pairs) / den
-    a6 = 0.5 * pop_out_of_zero - m / (2.0 * n) - (cross_pairs + down_pairs) / den
-    a8 = up_pairs / den
-    a9 = down_pairs / den
-    b1 = moment(lambda n1, n0, nm: n0 * n1) / den
-    b2 = moment(lambda n1, n0, nm: n0 * nm) / den
-
-    # coherence between 00 and ud/du: pairs (n1, n0, nm) with
-    # (n1 + 1, n0 - 2, nm + 1), weighted by the bosonic matrix element
-    c = 0.0
-    for (n1, n0, nm), amp in terms.items():
-        partner = (n1 + 1, n0 - 2, nm + 1)
-        if n0 >= 2 and partner in terms:
-            c += amp * terms[partner] * sqrt(
-                n0 * (n0 - 1) * (n1 + 1) * (nm + 1)
-            )
-    c /= den
-
-    return {
-        "a1": a3, "a2": a2, "a3": a3, "a4": a4, "a5": a4, "a6": a6,
-        "a7": a6, "a8": a8, "a9": a9, "b1": b1, "b2": b2, "b3": a3,
-        "c1": c, "c2": c,
-    }
+    size = len(counts) ** 2
+    rho = [[0.0] * size for _ in range(size)]
+    for ij, kl, shift, cells in _correlator_plan(x.species):
+        if ij == kl:
+            value = sum(map(mul, squares, pair_counts(*ij)))
+        else:
+            added = list(pair_counts(*ij))
+            moved = zip(*[map(add, col, repeat(s)) for col, s in zip(counts, shift)])
+            value = 0.0
+            for a, removed, u in zip(amps, pair_counts(*kl), map(position.get, moved)):
+                if u is not None:
+                    value += a * amps[u] * sqrt(removed * added[u])
+        value /= den
+        for r, c in cells:
+            rho[r][c] = value
+    return rho
 
 
 def a2_population_form(x: DickeExpansion) -> float:
-    """The 00-pair population written directly as E[n0 (n0 - 1)] / N(N-1).
+    """The 00-pair population of a spin-1 state, written directly as
+    E[n0 (n0 - 1)] / N(N-1).
 
-    Algebraically identical to the a2 returned by `two_body_elements`; both
-    forms are kept and their agreement is asserted in the tests rather than
+    The same population as the 00 diagonal entry of `two_body_elements`,
+    in a second form; their agreement is asserted in the tests rather than
     silently substituting one for the other.
     """
-    _require_spin_one(x)
+    if x.species != SPIN_ONE:
+        raise DomainError("the 00 population form is written for spin 1")
     n = x.n_particles
     return sum(a * a * occ[1] * (occ[1] - 1) for occ, a in x.terms) / float(
         n * (n - 1)
     )
 
 
-#: RHO_BASIS position (upper triangle) of each named pair-reduction element
-_ELEMENT_POSITIONS = {
-    (0, 0): "a1", (0, 1): "c1", (0, 2): "b3",
-    (1, 1): "a2", (1, 2): "c2", (2, 2): "a3",
-    (3, 3): "a4", (3, 4): "b1", (4, 4): "a5",
-    (5, 5): "a6", (5, 6): "b2", (6, 6): "a7",
-    (7, 7): "a8", (8, 8): "a9",
-}
-
-
-def _density_from_elements(e: dict[str, float]) -> TwoQuditDensity:
-    rho = [[0.0] * 9 for _ in range(9)]
-    for (i, j), key in _ELEMENT_POSITIONS.items():
-        rho[i][j] = rho[j][i] = e[key]
-    return _as_density(rho)
-
-
 def dicke_two_particle_rdm(x: DickeExpansion) -> TwoQuditDensity:
-    """Two-particle reduced density matrix of a fixed-M spin-1 symmetric
-    state, assembled from `two_body_elements` in RHO_BASIS order."""
-    return _density_from_elements(two_body_elements(x))
+    """Two-particle reduced density matrix of a fixed-M symmetric state of
+    any species, from `two_body_elements` in `pair_basis` order."""
+    return _as_density(two_body_elements(x))
 
 
 def dicke_pair_weights(n_particles: int, twice_m: int) -> tuple[Fraction, ...]:
@@ -334,22 +334,22 @@ def dicke_pair_reduction(n_particles: int, twice_m: int) -> TwoQuditDensity:
     """Two-particle reduced density matrix of the spin-1 Dicke state
     |J = N, M>, exact and at a cost independent of N.
 
-    The marginal is sum_j p_j |D_j><D_j| (`dicke_pair_weights`), where D_j
-    is the two-particle J = 2 state at 2M = 2(2 - j): uu, (u0 + 0u)/sqrt(2),
-    (ud + 2 00 + du)/sqrt(6), (0d + d0)/sqrt(2), dd.  Each element is one
-    exact rational rounded once.  `dicke_two_particle_rdm` of the expansion
-    and `brute_force_rdm` are the independent routes it is tested against.
+    The marginal is sum_j p_j |D_j><D_j| (`dicke_pair_weights`), where D_j,
+    the two-particle J = 2 state with j lowerings, has amplitude
+    sqrt(w_a w_b / C(4, j)) on ab, with level weights w = C(2, lowerings).
+    Entry (ab, cd) is p_j sqrt(w_a w_b w_c w_d) / C(4, j), whose root is an
+    integer: one exact rational rounded once.  `dicke_two_particle_rdm` and
+    `brute_force_rdm` are the routes it is tested against.
     """
-    p0, p1, p2, p3, p4 = dicke_pair_weights(n_particles, twice_m)
-    half1, half3 = float(p1 / 2), float(p3 / 2)
-    sixth2, third2 = float(p2 / 6), float(p2 / 3)
-    return _density_from_elements({
-        "a1": sixth2, "a2": float(2 * p2 / 3), "a3": sixth2,
-        "b3": sixth2, "c1": third2, "c2": third2,
-        "a4": half1, "a5": half1, "b1": half1,
-        "a6": half3, "a7": half3, "b2": half3,
-        "a8": float(p0), "a9": float(p4),
-    })
+    weights = dicke_pair_weights(n_particles, twice_m)
+    rho = [[0.0] * len(RHO_BASIS) for _ in RHO_BASIS]
+    for (i, j), (k, l), _, cells in _correlator_plan(SPIN_ONE):
+        p = weights[i + j]
+        root = isqrt(comb(2, i) * comb(2, j) * comb(2, k) * comb(2, l))
+        value = p.numerator * root / (p.denominator * comb(4, i + j))
+        for r, c in cells:
+            rho[r][c] = value
+    return _as_density(rho)
 
 
 def _smaller_root(s: float, c: float) -> float:
@@ -398,12 +398,11 @@ def dicke_pair_negativity(n_particles: int, twice_m: int) -> float:
 
 def brute_force_rdm(x: DickeExpansion) -> TwoQuditDensity:
     """Oracle pair reduction: expand the symmetric state into the full
-    3^N tensor space and trace out all but two particles.
+    d^N tensor space and trace out all but two particles.
 
     Exponential in N; limited to N <= 6.  Shares no code with
     `two_body_elements`.
     """
-    _require_spin_one(x)
     n = x.n_particles
     if n > 6:
         raise DomainError(f"brute-force reduction is limited to N <= 6, got {n}")
@@ -414,22 +413,18 @@ def brute_force_rdm(x: DickeExpansion) -> TwoQuditDensity:
     amplitudes: dict[tuple[int, ...], float] = {}
     for occ, amp in x.terms:
         letters = [tm for tm, count in zip(levels, occ) for _ in range(count)]
-        multiplicity = factorial(n)
-        for count in occ:
-            multiplicity //= factorial(count)
-        weight = amp / sqrt(multiplicity)
-        for arrangement in set(permutations(letters)):
-            amplitudes[arrangement] = amplitudes.get(arrangement, 0.0) + weight
+        arrangements = set(permutations(letters))  # no other vector has these
+        amplitudes.update(dict.fromkeys(arrangements, amp / sqrt(len(arrangements))))
 
-    rho = [[0.0] * 9 for _ in range(9)]
+    index = {pair: i for i, pair in enumerate(pair_basis(x.species))}
+    rho = [[0.0] * len(index) for _ in index]
     groups: dict[tuple[int, ...], dict[LevelPair, float]] = {}
     for arrangement, amp in amplitudes.items():
-        rest = arrangement[2:]
-        groups.setdefault(rest, {})[arrangement[:2]] = amp
+        groups.setdefault(arrangement[2:], {})[arrangement[:2]] = amp
     for vec in groups.values():
         for pair_i, ai in vec.items():
             for pair_j, aj in vec.items():
-                rho[_INDEX[pair_i]][_INDEX[pair_j]] += ai * aj
+                rho[index[pair_i]][index[pair_j]] += ai * aj
     return _as_density(rho)
 
 
@@ -468,7 +463,7 @@ def family_pair_reduction(
     family: str, n_particles: int, twice_m: int
 ) -> TwoQuditDensity:
     """Pair reduction of a sweep family member: the exact mixture for Dicke
-    states, the occupation moments of the expansion for the others."""
+    states, the correlator of the expansion for the others."""
     if family == "dicke":
         return dicke_pair_reduction(n_particles, twice_m)
     return dicke_two_particle_rdm(family_expansion(family, n_particles, twice_m))

@@ -1,4 +1,4 @@
-"""Eigenvalues of tiny real symmetric matrices (dim <= 9).
+"""Eigenvalues of small real symmetric matrices (dim <= 25).
 
 A cyclic Jacobi rotation sweep is all that is needed at these sizes and
 keeps the package free of numerical dependencies; the rotations update the
@@ -11,7 +11,7 @@ still above it after 50 sweeps raises ArithmeticError.
 it splits the matrix into the connected components of its nonzero pattern,
 over which the matrix is exactly block diagonal, and diagonalizes each
 component alone; the pair reduction of a fixed-M state and its partial
-transpose fall into blocks of at most 3x3.
+transpose fall into blocks of at most d x d for d-level particles.
 """
 
 from __future__ import annotations

@@ -1,11 +1,15 @@
+import hashlib
 import random
 from fractions import Fraction
-from math import comb, sqrt
+from itertools import product
+from math import comb, perm, sqrt
 
 import pytest
 
 from dicke import (
+    ALL_SPECIES,
     SPIN_ONE,
+    SPIN_THREE_HALVES,
     SPIN_TWO,
     DomainError,
     brute_force_rdm,
@@ -24,15 +28,16 @@ from dicke import (
 )
 from dicke.antisym import symmetric_two_particle_state
 from dicke.entanglement import (
+    PSD_TOLERANCE,
     RHO_BASIS,
     TwoQuditDensity,
     a2_population_form,
     dicke_pair_negativity,
     dicke_pair_weights,
     has_pair_reduction_block_structure,
+    pair_basis,
     random_pure_state,
     sweep_shape_violations,
-    two_body_elements,
 )
 from dicke.linalg import symmetric_eigenvalues
 
@@ -194,26 +199,28 @@ def test_rdm_of_n2_equals_the_pure_projector():
     ) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_rdm_matches_brute_force_for_all_m(n):
-    for tm in range(-2 * n, 2 * n + 1, 2):
-        for build in (dicke_expansion, equal_probability_expansion):
-            expansion = build(SPIN_ONE, n, tm)
-            fast = dicke_two_particle_rdm(expansion)
-            slow = brute_force_rdm(expansion)
-            assert max(
-                abs(fast.entries[i][j] - slow.entries[i][j])
-                for i in range(9)
-                for j in range(9)
-            ) <= 1e-10
-
-
 def max_entry_difference(rho, sigma):
     return max(
-        abs(rho.entries[i][j] - sigma.entries[i][j])
-        for i in range(9)
-        for j in range(9)
+        abs(a - b)
+        for row_a, row_b in zip(rho.entries, sigma.entries)
+        for a, b in zip(row_a, row_b)
     )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_rdm_matches_brute_force_for_all_m(n):
+    for species in ALL_SPECIES:
+        ts = species.twice_spin
+        builds = [dicke_expansion]
+        if species == SPIN_ONE:
+            builds.append(equal_probability_expansion)
+        for tm in range(-ts * n, ts * n + 1, 2):
+            for build in builds:
+                expansion = build(species, n, tm)
+                fast = dicke_two_particle_rdm(expansion)
+                slow = brute_force_rdm(expansion)
+                assert len(fast.entries) == (ts + 1) ** 2
+                assert max_entry_difference(fast, slow) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -230,6 +237,37 @@ def test_mixture_and_moment_routes_agree_up_to_n80():
         for tm in range(-2 * n, 2 * n + 1, 2):
             moments = dicke_two_particle_rdm(dicke_expansion(SPIN_ONE, n, tm))
             assert max_entry_difference(dicke_pair_reduction(n, tm), moments) <= 1e-15
+
+
+#: the spin-1 pair basis: ud, 00, du, u0, 0u, 0d, d0, uu, dd
+SPIN_ONE_PAIRS = (
+    (2, -2), (0, 0), (-2, 2),
+    (2, 0), (0, 2), (0, -2), (-2, 0),
+    (2, 2), (-2, -2),
+)
+
+
+def test_pair_basis_sort_rule_gives_the_pinned_spin_one_order():
+    def rule(pair):
+        return abs(pair[0] + pair[1]), -(pair[0] + pair[1]), -pair[0]
+
+    assert tuple(sorted(product((2, 0, -2), repeat=2), key=rule)) == SPIN_ONE_PAIRS
+    assert RHO_BASIS == SPIN_ONE_PAIRS
+
+
+#: sha256 over repr(entries) of every spin-1 Dicke pair reduction and the
+#: repr of its negativity, N = 2..80 and every M
+DICKE_PAIR_DIGEST = "529d3b43c3ab372df3dd8a9cfea3395ab7333dd080dfa45ddb57f4f1b75e53c6"
+
+
+def test_dicke_pair_reductions_and_negativities_are_pinned():
+    digest = hashlib.sha256()
+    for n in range(2, 81):
+        for tm in range(-2 * n, 2 * n + 1, 2):
+            rho = dicke_pair_reduction(n, tm)
+            digest.update(repr(rho.entries).encode())
+            digest.update(repr(negativity(rho).value).encode())
+    assert digest.hexdigest() == DICKE_PAIR_DIGEST
 
 
 def test_falling_factorial_weights_are_the_hypergeometric_law():
@@ -266,23 +304,60 @@ def test_brute_force_rdm_rejects_large_systems():
         brute_force_rdm(dicke_expansion(SPIN_ONE, 7, 0))
 
 
-def test_rdm_requires_spin_one():
-    with pytest.raises(DomainError):
-        dicke_two_particle_rdm(dicke_expansion(SPIN_TWO, 4, 0))
+def majorana_mixture(species, n, tm):
+    """sum_j p_j |D_j><D_j| in pair_basis order: D_j is the two-particle
+    J = 2s state with j lowerings and p_j = C(4s, j) [k]_j [2sN - k]_{4s-j}
+    / [2sN]_{4s}, k = sN - M (Stockton et al., PRA 67, 022112, 2003)."""
+    ts = species.twice_spin
+    q, k = ts * n, (ts * n - tm) // 2
+    basis = pair_basis(species)
+    rho = [[0.0] * len(basis) for _ in basis]
+    for j in range(2 * ts + 1):
+        p = float(
+            Fraction(comb(2 * ts, j) * perm(k, j) * perm(q - k, 2 * ts - j), perm(q, 2 * ts))
+        )
+        pair = symmetric_two_particle_state(dicke_expansion(species, 2, 2 * (ts - j)))
+        amps = dict(pair.terms)
+        vec = [amps.get(ab, 0.0) for ab in basis]
+        for r, a in enumerate(vec):
+            for c, b in enumerate(vec):
+                rho[r][c] += p * a * b
+    return TwoQuditDensity(tuple(map(tuple, rho)))
+
+
+@pytest.mark.parametrize("species", [SPIN_THREE_HALVES, SPIN_TWO], ids=lambda s: s.name)
+def test_correlator_matches_the_majorana_mixture_beyond_spin_one(species):
+    for n in range(2, 9):
+        ts = species.twice_spin
+        for tm in range(-ts * n, ts * n + 1, 2):
+            rho = dicke_two_particle_rdm(dicke_expansion(species, n, tm))
+            assert max_entry_difference(rho, majorana_mixture(species, n, tm)) <= 1e-15
+
+
+def test_pair_negativity_at_n30_m0_for_each_integer_and_half_integer_spin():
+    printed = [
+        f"{negativity(dicke_two_particle_rdm(dicke_expansion(species, 30, 0))).value:.6f}"
+        for species in (SPIN_ONE, SPIN_THREE_HALVES, SPIN_TWO)
+    ]
+    assert printed == ["0.017395", "0.017446", "0.017472"]
 
 
 def test_block_structure_and_symmetries_of_the_rdm():
+    u0, zu, zd, dz, ud, zz, du = (
+        RHO_BASIS.index(pair)
+        for pair in ((2, 0), (0, 2), (0, -2), (-2, 0), (2, -2), (0, 0), (-2, 2))
+    )
     for n in (4, 9, 16):
         for tm in (0, 2, 2 * (n // 2)):
             expansion = dicke_expansion(SPIN_ONE, n, tm)
             rho = dicke_two_particle_rdm(expansion)
+            m = rho.entries
             assert has_pair_reduction_block_structure(rho, tol=1e-12)
-            e = two_body_elements(expansion)
-            assert e["a4"] == e["a5"]
-            assert e["a6"] == e["a7"]
-            assert e["c1"] == e["c2"]
-            assert abs(e["a2"] - a2_population_form(expansion)) <= 1e-12
-            trace = sum(rho.entries[i][i] for i in range(9))
+            assert m[u0][u0] == m[zu][zu]
+            assert m[zd][zd] == m[dz][dz]
+            assert m[ud][zz] == m[du][zz]
+            assert abs(m[zz][zz] - a2_population_form(expansion)) <= 1e-12
+            trace = sum(m[i][i] for i in range(len(m)))
             assert trace == pytest.approx(1.0, abs=1e-12)
 
 
@@ -552,7 +627,19 @@ def test_sweep_shape_violation_detector():
         negativity_sweep("bogus", 10)
 
 
-@pytest.mark.parametrize("size", [1, 4, 8, 10])
+def test_psd_check_admits_exactly_the_tolerance():
+    for smallest, admitted in ((-PSD_TOLERANCE, True), (-2 * PSD_TOLERANCE, False)):
+        entries = [[0.0] * 9 for _ in range(9)]
+        entries[0][0], entries[1][1] = smallest, 1.0 - smallest
+        rho = TwoQuditDensity(tuple(map(tuple, entries)))
+        if admitted:
+            rho.validate()
+        else:
+            with pytest.raises(DomainError):
+                rho.validate()
+
+
+@pytest.mark.parametrize("size", [1, 8, 10, 36])
 def test_density_checks_reject_wrong_shapes(size):
     state = (1.0,) + (0.0,) * (size - 1)
     with pytest.raises(DomainError):

@@ -124,10 +124,11 @@ def _fill_symmetric(size, xs):
     return m
 
 
-#: 2-4 random symmetric blocks of at most 9 rows in all, and a permutation
+#: 2-7 random symmetric blocks of at most 25 rows in all (the side of a
+#: spin-2 pair reduction), and a permutation
 BLOCKS_AND_ORDER = (
-    st.lists(st.integers(1, 4), min_size=2, max_size=4)
-    .filter(lambda sizes: sum(sizes) <= 9)
+    st.lists(st.integers(1, 5), min_size=2, max_size=7)
+    .filter(lambda sizes: sum(sizes) <= 25)
     .flatmap(
         lambda sizes: st.tuples(
             st.tuples(*(_symmetric_block(size) for size in sizes)),
