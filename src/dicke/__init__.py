@@ -49,7 +49,6 @@ _EXPORTS = {
         "dicke_pair_reduction",
         "dicke_two_particle_rdm",
         "equal_probability_expansion",
-        "family_expansion",
         "named_two_qutrit_state",
         "negativity",
         "negativity_sweep",

@@ -26,9 +26,12 @@ if TYPE_CHECKING:
 
 FIGURE_PARTICLE_COUNTS = range(20, 81, 10)
 COMPARISON_PARTICLE_COUNTS = (30, 80)
-#: most occupation vectors `basis` and `expand` build, about 2 s and 200 MB
+#: most occupation vectors `basis` and `expand` build, about 2 s and 68 MB
 #: (spin 2 at N = 200, M = 0 has 230,673; at N = 400 it has 1,811,345)
 BASIS_CAP = 250_000
+#: most magnetizations M = 0..J a `negativity --sweep` computes, about 2 s
+#: and 17 MB for the Dicke family at N = 9,999
+SWEEP_CAP = 10_000
 #: most vectors the `oracle` chain may hold summed over its steps, 6-10 s
 #: (spin 2 at N = 60, M = 0 walks 321,081; spin 1 at N = 2400, 1,442,401)
 CHAIN_CAP = 5_000_000
@@ -318,6 +321,10 @@ def _cmd_negativity(args) -> int:
         if args.sweep:
             if args.m is not None:
                 raise DomainError("--m and --sweep cannot be combined")
+            if args.n + 1 > SWEEP_CAP:
+                raise DomainError(
+                    f"a sweep of more than {SWEEP_CAP:,} M values is past the CLI cap"
+                )
             # the bases at M = J, ..., 0 are the lowering chain to M = 0;
             # the sweep itself refuses fewer than two particles
             if name == "equal" and args.n > 1:

@@ -115,18 +115,20 @@ def closed_form_coefficient(
 def _walk(
     species: SpinSpecies, n_particles: int, twice_m: int, value: Callable[[int, int], V]
 ) -> tuple[list[OccupationVector], list[V]]:
-    """The basis and value(P, D) for each vector, where C^2 = P / D; raises
-    ArithmeticError unless the P sum to D.  A run prefix + (x - k, y + 2k,
-    z - k) starts at P = prod_m binomial(r_m, n_m) w_m^{n_m}, r_m being the
-    particles on level m and below, and each step multiplies P by
-    x z w_y^2 / ((y + 1)(y + 2) w_x w_z), exactly since every P is an integer.
+    """The basis and value(P, D) for each vector, where C^2 = P / D (1 / 1
+    for spin 1/2); raises ArithmeticError unless the P sum to D.  A run
+    prefix + (x - k, y + 2k, z - k) starts at P = prod_m binomial(r_m, n_m)
+    w_m^{n_m}, r_m being the particles on level m and below, and each step
+    multiplies P by x z w_y^2 / ((y + 1)(y + 2) w_x w_z), exactly since
+    every P is an integer.
     """
     check_domain(species, n_particles, twice_m)
-    twice_j = species.twice_spin * n_particles
-    d = comb(twice_j, (twice_j - abs(twice_m)) // 2)
     weights = _level_weight_squares(species)
     if len(weights) == 2:  # spin 1/2: one vector, whose P is binomial(N, n_+) = D
-        return enumerate_basis(species, n_particles, twice_m), [value(d, d)]
+        # so P / D is passed as 1 / 1, without forming either binomial
+        return enumerate_basis(species, n_particles, twice_m), [value(1, 1)]
+    twice_j = species.twice_spin * n_particles
+    d = comb(twice_j, (twice_j - abs(twice_m)) // 2)
     basis, values, total = [], [], 0
     *head, w_x, w_y, w_z = weights
     up, down = w_y * w_y, w_x * w_z

@@ -71,13 +71,10 @@ class TwoQuditDensity(namedtuple("TwoQuditDensity", "entries")):
 
     __slots__ = ()
 
-    def matrix(self) -> Matrix:
-        return [list(row) for row in self.entries]
-
     def validate(self) -> None:
         """Shape, trace and PSD checks; `symmetric_eigenvalues` checks the
         rest."""
-        m = self.matrix()
+        m = self.entries
         _pair_species(len(m))
         if any(len(row) != len(m) for row in m):
             raise DomainError("a two-qudit density matrix must be square")
@@ -127,14 +124,9 @@ def named_two_qutrit_state(name: str, params: tuple[float, ...] = ()) -> StateVe
     """
     if params and name != "psi1":
         raise DomainError(f"only psi1 takes parameters, not {name!r}")
-    vec = [0.0] * 9
-
-    def put(pair: LevelPair, amp: float) -> None:
-        vec[RHO_BASIS.index(pair)] = amp
-
+    root3 = sqrt(3.0)
     if name == "bg":
-        for pair in ((2, 2), (0, 0), (-2, -2)):
-            put(pair, 1.0 / sqrt(3.0))
+        amps = {(2, 2): 1.0 / root3, (0, 0): 1.0 / root3, (-2, -2): 1.0 / root3}
     elif name in ("psi1", "psie"):
         if name == "psie":
             params = (sqrt(1.0 / 3.0), sqrt(2.0 / 3.0))
@@ -143,24 +135,19 @@ def named_two_qutrit_state(name: str, params: tuple[float, ...] = ()) -> StateVe
         c1, c2 = params
         if not abs(c1 * c1 + c2 * c2 - 1.0) <= 1e-10:
             raise DomainError(f"c1^2 + c2^2 = {c1 * c1 + c2 * c2!r}, not 1")
-        root3 = sqrt(3.0)
-        put((2, 2), 1.0 / root3)
-        put((-2, -2), 1.0 / root3)
-        put((2, -2), c1 / (root3 * sqrt(2.0)))
-        put((-2, 2), c1 / (root3 * sqrt(2.0)))
-        put((0, 0), c2 / root3)
+        ud = c1 / (root3 * sqrt(2.0))
+        amps = {
+            (2, 2): 1.0 / root3, (-2, -2): 1.0 / root3,
+            (2, -2): ud, (-2, 2): ud, (0, 0): c2 / root3,
+        }
     elif name == "psi2":
-        put((2, -2), 0.5)
-        put((-2, 2), 0.5)
-        put((0, 0), 1.0 / sqrt(2.0))
+        amps = {(2, -2): 0.5, (-2, 2): 0.5, (0, 0): 1.0 / sqrt(2.0)}
     elif name in ("bsplus", "bsminus"):
         s = 1.0 if name == "bsplus" else -1.0
-        put((2, -2), 1.0 / sqrt(3.0))
-        put((-2, 2), 1.0 / sqrt(3.0))
-        put((0, 0), s / sqrt(3.0))
+        amps = {(2, -2): 1.0 / root3, (-2, 2): 1.0 / root3, (0, 0): s / root3}
     else:
         raise DomainError(f"unknown state name {name!r}")
-    return tuple(vec)
+    return tuple(amps.get(pair, 0.0) for pair in RHO_BASIS)
 
 
 @cache
@@ -285,22 +272,6 @@ def two_body_elements(x: DickeExpansion) -> Matrix:
         for r, c in cells:
             rho[r][c] = value
     return rho
-
-
-def a2_population_form(x: DickeExpansion) -> float:
-    """The 00-pair population of a spin-1 state, written directly as
-    E[n0 (n0 - 1)] / N(N-1).
-
-    The same population as the 00 diagonal entry of `two_body_elements`,
-    in a second form; their agreement is asserted in the tests rather than
-    silently substituting one for the other.
-    """
-    if x.species != SPIN_ONE:
-        raise DomainError("the 00 population form is written for spin 1")
-    n = x.n_particles
-    return sum(a * a * occ[1] * (occ[1] - 1) for occ, a in x.terms) / float(
-        n * (n - 1)
-    )
 
 
 def dicke_two_particle_rdm(x: DickeExpansion) -> TwoQuditDensity:
@@ -432,12 +403,10 @@ def equal_probability_expansion(
     species: SpinSpecies, n_particles: int, twice_m: int
 ) -> DickeExpansion:
     """Uniform-amplitude superposition over the whole fixed-M occupation
-    basis (spin 1); the comparison family for the Dicke states."""
+    basis; at spin 1, the comparison family for the Dicke states."""
     from .basis import enumerate_basis
     from .coefficients import DickeExpansion
 
-    if species != SPIN_ONE:
-        raise DomainError("equal-probability states are defined for spin 1 only")
     basis = enumerate_basis(species, n_particles, twice_m)
     amp = 1.0 / sqrt(len(basis))
     return DickeExpansion(
@@ -448,44 +417,27 @@ def equal_probability_expansion(
 SWEEP_FAMILIES = ("dicke", "equal")
 
 
-def family_expansion(family: str, n_particles: int, twice_m: int) -> DickeExpansion:
-    """The spin-1 member of a sweep family ("dicke" or "equal") at (N, M)."""
-    if family == "dicke":
-        from .coefficients import dicke_expansion
-
-        return dicke_expansion(SPIN_ONE, n_particles, twice_m)
-    if family == "equal":
-        return equal_probability_expansion(SPIN_ONE, n_particles, twice_m)
-    raise DomainError(f"unknown state family {family!r}")
-
-
 def family_pair_reduction(
     family: str, n_particles: int, twice_m: int
 ) -> TwoQuditDensity:
-    """Pair reduction of a sweep family member: the exact mixture for Dicke
-    states, the correlator of the expansion for the others."""
+    """Pair reduction of the spin-1 member of a sweep family at (N, M): the
+    exact mixture for "dicke", the correlator of the expansion for "equal"."""
     if family == "dicke":
         return dicke_pair_reduction(n_particles, twice_m)
-    return dicke_two_particle_rdm(family_expansion(family, n_particles, twice_m))
+    if family == "equal":
+        x = equal_probability_expansion(SPIN_ONE, n_particles, twice_m)
+        return dicke_two_particle_rdm(x)
+    raise DomainError(f"unknown state family {family!r}")
 
 
-def negativity_sweep(
-    family: str,
-    n_particles: int,
-    twice_m_values: list[int] | None = None,
-) -> list[tuple[int, float]]:
-    """Pair negativity of a spin-1 state family over a range of M.
-
-    Returns (2M, negativity) rows in ascending M order; the default range
-    is M = 0 .. J.
-    """
+def negativity_sweep(family: str, n_particles: int) -> list[tuple[int, float]]:
+    """Pair negativity of a spin-1 state family at M = 0 .. J, as
+    (2M, negativity) rows in ascending M order."""
     if n_particles < 2:
         raise DomainError("pair reduction needs at least two particles")
-    if twice_m_values is None:
-        twice_m_values = list(range(0, 2 * n_particles + 1, 2))
     return [
         (tm, negativity(family_pair_reduction(family, n_particles, tm)).value)
-        for tm in sorted(twice_m_values)
+        for tm in range(0, 2 * n_particles + 1, 2)
     ]
 
 

@@ -29,7 +29,10 @@ from dicke import (
     total_spin_expectation,
 )
 from dicke.antisym import inner_product
-from dicke.entanglement import has_pair_reduction_block_structure
+from dicke.entanglement import (
+    family_pair_reduction,
+    has_pair_reduction_block_structure,
+)
 from dicke.tables import verify_tables
 
 TABLE_TOL = 5e-5
@@ -244,7 +247,7 @@ def test_criterion_8_figure_shapes():
     zero_m = [sweeps[n][0][1] for n in sorted(sweeps)]
     ok &= all(a > b for a, b in zip(zero_m, zero_m[1:]))
     for n in (30, 80):
-        equal_value = negativity_sweep("equal", n, [0])[0][1]
+        equal_value = negativity(family_pair_reduction("equal", n, 0)).value
         ok &= equal_value > sweeps[n][0][1]
     elapsed = time.perf_counter() - start
     ok &= elapsed < 60.0

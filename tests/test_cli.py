@@ -10,9 +10,9 @@ from time import perf_counter
 
 import pytest
 
-from dicke import SpinSpecies, dicke_expansion
+from dicke import SpinSpecies, dicke_expansion, enumerate_basis
 import dicke.cli
-from dicke.cli import BASIS_CAP, CHAIN_CAP, main
+from dicke.cli import BASIS_CAP, CHAIN_CAP, SWEEP_CAP, main
 
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
@@ -71,6 +71,23 @@ def test_basis_flags_parametric_count_mismatch(capsys):
     assert "direct enumeration gives 8" in err
 
 
+def test_basis_json(capsys):
+    code, out, _ = run(
+        ["basis", "--spin", "3/2", "--n", "6", "--m", "0", "--format", "json"], capsys
+    )
+    assert code == 0
+    payload = json.loads(out)
+    basis = [list(v) for v in enumerate_basis(SpinSpecies.from_str("3/2"), 6, 0)]
+    assert payload == {
+        "spin": "3/2",
+        "n": 6,
+        "m": "0",
+        "count": 8,
+        "parametric_count": 14,
+        "basis": basis,
+    }
+
+
 def test_basis_out_of_range_exits_2(capsys):
     code, _, err = run(["basis", "--spin", "2", "--n", "5", "--m", "99"], capsys)
     assert code == 2
@@ -104,6 +121,16 @@ def test_expand_csv_round_trips_exactly(capsys):
     for row in rows:
         occ = tuple(map(int, row[:5]))
         assert float(row[5]) == reference[occ]  # 17 significant digits
+
+
+def test_expand_spin_half_at_a_hundred_million_particles(capsys):
+    start = perf_counter()
+    code, out, _ = run(
+        ["expand", "--spin", "1/2", "--n", "100000000", "--m", "0"], capsys
+    )
+    assert perf_counter() - start < 1.0
+    assert code == 0
+    assert out == "n_+1/2,n_-1/2,coefficient\n50000000,50000000,1\n"
 
 
 def test_expand_json(capsys):
@@ -210,6 +237,8 @@ def test_equal_family_past_the_basis_cap_exits_2_before_enumerating(
         ["expand", "--spin", "1", "--n", "100000000", "--m", "0"],
         ["oracle", "--spin", "1", "--n", "100000000", "--m", "0"],
         ["negativity", "--state", "equal", "--n", "100000000", "--sweep"],
+        ["negativity", "--state", "equal", "--n", "5000", "--sweep"],
+        ["negativity", "--state", "dicke", "--n", "100000000", "--sweep"],
         ["expand", "--spin", "2", "--n", "10000000", "--m", "0"],
     ],
 )
@@ -244,6 +273,7 @@ def test_size_caps_admit_the_documented_sizes():
     assert dicke.basis_size(species, 200, 0) <= BASIS_CAP
     assert dicke.ladder.chain_vectors(species, 60, 0) <= CHAIN_CAP
     assert dicke.ladder.chain_vectors(SpinSpecies.from_str("1"), 2400, 0) <= CHAIN_CAP
+    assert 2400 + 1 <= SWEEP_CAP
 
 
 def test_verify_tables_passes(capsys):
@@ -598,6 +628,36 @@ def test_plot_header_without_data_rows_exits_2(text, tmp_path, capsys):
     assert err.startswith("error:")
     assert "no data rows" in err
     assert not out_svg.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "is empty"),
+        ("M\n0\n1\n", "an x column"),
+        ("M,negativity\n0,0.3\n1,high\n", "not a number: 'high'"),
+        ("M,negativity\nx/2,0.3\n", "not a number: 'x/2'"),
+    ],
+)
+def test_plot_malformed_input_exits_2(text, message, tmp_path, capsys):
+    source = tmp_path / "bad.csv"
+    source.write_text(text, encoding="utf-8")
+    out_svg = tmp_path / "bad.svg"
+    code, out, err = run(["plot", "--in", str(source), "--out", str(out_svg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert not out_svg.exists()
+
+
+def test_chart_of_one_x_value_and_a_flat_y_gets_unit_axes():
+    from dicke.svg import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, polyline_chart
+
+    root = ET.fromstring(polyline_chart([("flat", [(2.0, 0.0)])]))
+    labels = [e.text for e in root.iter() if e.tag.endswith("text")]
+    assert labels == ["2", "3", "0", "1", "flat"]
+    (line,) = [e for e in root.iter() if e.tag.endswith("polyline")]
+    assert line.get("points") == f"{MARGIN_LEFT:.2f},{HEIGHT - MARGIN_BOTTOM:.2f}"
 
 
 def test_plot_input_that_is_not_utf8_exits_2(tmp_path, capsys):

@@ -17,8 +17,8 @@ from dicke import (
     dicke_expansion,
     dicke_pair_reduction,
     dicke_two_particle_rdm,
+    enumerate_basis,
     equal_probability_expansion,
-    family_expansion,
     highest_weight,
     named_two_qutrit_state,
     negativity,
@@ -30,10 +30,11 @@ from dicke.antisym import symmetric_two_particle_state
 from dicke.entanglement import (
     PSD_TOLERANCE,
     RHO_BASIS,
+    TRACE_TOLERANCE,
     TwoQuditDensity,
-    a2_population_form,
     dicke_pair_negativity,
     dicke_pair_weights,
+    family_pair_reduction,
     has_pair_reduction_block_structure,
     pair_basis,
     random_pure_state,
@@ -82,9 +83,23 @@ def test_named_state_psie_is_psi1_at_the_coherent_point():
     )
 
 
+def test_named_states_psi2_bsplus_and_bsminus():
+    r3 = 1 / sqrt(3)
+    expected = {
+        "psi2": {(2, -2): 0.5, (-2, 2): 0.5, (0, 0): 1 / sqrt(2)},
+        "bsplus": {(2, -2): r3, (-2, 2): r3, (0, 0): r3},
+        "bsminus": {(2, -2): r3, (-2, 2): r3, (0, 0): -r3},
+    }
+    for name, amps in expected.items():
+        vec = dict(zip(RHO_BASIS, named_two_qutrit_state(name)))
+        assert vec == pytest.approx({p: amps.get(p, 0.0) for p in RHO_BASIS}, abs=1e-15)
+
+
 def test_psi1_constraint_enforced():
     with pytest.raises(DomainError):
         named_two_qutrit_state("psi1", (1.0, 1.0))
+    with pytest.raises(DomainError, match=r"c1\^2 \+ c2\^2 = 13\.0,"):
+        named_two_qutrit_state("psi1", (2.0, 3.0))
     with pytest.raises(DomainError):
         named_two_qutrit_state("psi1", (1.0,))
     with pytest.raises(DomainError):
@@ -96,7 +111,7 @@ def test_partial_transpose_leaves_diagonal_matrices_alone():
     for i, w in enumerate((0.3, 0.2, 0.1, 0.1, 0.05, 0.05, 0.05, 0.1, 0.05)):
         entries[i][i] = w
     rho = TwoQuditDensity(tuple(tuple(r) for r in entries))
-    assert partial_transpose(rho) == rho.matrix()
+    assert tuple(map(tuple, partial_transpose(rho))) == rho.entries
 
 
 def test_partial_transpose_is_an_involution():
@@ -211,11 +226,8 @@ def max_entry_difference(rho, sigma):
 def test_rdm_matches_brute_force_for_all_m(n):
     for species in ALL_SPECIES:
         ts = species.twice_spin
-        builds = [dicke_expansion]
-        if species == SPIN_ONE:
-            builds.append(equal_probability_expansion)
         for tm in range(-ts * n, ts * n + 1, 2):
-            for build in builds:
+            for build in (dicke_expansion, equal_probability_expansion):
                 expansion = build(species, n, tm)
                 fast = dicke_two_particle_rdm(expansion)
                 slow = brute_force_rdm(expansion)
@@ -356,7 +368,6 @@ def test_block_structure_and_symmetries_of_the_rdm():
             assert m[u0][u0] == m[zu][zu]
             assert m[zd][zd] == m[dz][dz]
             assert m[ud][zz] == m[du][zz]
-            assert abs(m[zz][zz] - a2_population_form(expansion)) <= 1e-12
             trace = sum(m[i][i] for i in range(len(m)))
             assert trace == pytest.approx(1.0, abs=1e-12)
 
@@ -565,8 +576,9 @@ def test_equal_probability_expansion_examples():
     assert single.terms == dicke_expansion(SPIN_ONE, 2, 4).terms
     wide = equal_probability_expansion(SPIN_ONE, 30, 0)
     assert len(wide.terms) == 16
-    with pytest.raises(DomainError):
-        equal_probability_expansion(SPIN_TWO, 4, 0)
+    spin_two = equal_probability_expansion(SPIN_TWO, 4, 0)
+    assert [occ for occ, _ in spin_two.terms] == enumerate_basis(SPIN_TWO, 4, 0)
+    assert {amp for _, amp in spin_two.terms} == {1 / sqrt(len(spin_two.terms))}
 
 
 def test_sweep_shapes_for_n20():
@@ -581,8 +593,8 @@ def test_sweep_shapes_for_n20():
 
 def test_equal_beats_dicke_at_m0():
     for n in (30, 80):
-        dicke_value = negativity_sweep("dicke", n, [0])[0][1]
-        equal_value = negativity_sweep("equal", n, [0])[0][1]
+        dicke_value = negativity(family_pair_reduction("dicke", n, 0)).value
+        equal_value = negativity(family_pair_reduction("equal", n, 0)).value
         assert equal_value > dicke_value
 
 
@@ -592,19 +604,20 @@ def test_sweep_rejects_too_few_particles(monkeypatch):
     def unreachable(*args):
         raise AssertionError("a state was built")
 
-    monkeypatch.setattr(dicke.entanglement, "family_expansion", unreachable)
-    for n in (-3, 0, 1):
-        with pytest.raises(DomainError):
-            negativity_sweep("dicke", n)
+    monkeypatch.setattr(dicke.entanglement, "family_pair_reduction", unreachable)
+    for family in ("dicke", "equal"):
+        for n in (-3, 0, 1):
+            with pytest.raises(DomainError):
+                negativity_sweep(family, n)
 
 
-def test_family_expansion_builds_each_family():
-    assert family_expansion("dicke", 6, 2) == dicke_expansion(SPIN_ONE, 6, 2)
-    assert family_expansion("equal", 6, 2) == equal_probability_expansion(
-        SPIN_ONE, 6, 2
+def test_family_pair_reduction_builds_each_family():
+    assert family_pair_reduction("dicke", 6, 2) == dicke_pair_reduction(6, 2)
+    assert family_pair_reduction("equal", 6, 2) == dicke_two_particle_rdm(
+        equal_probability_expansion(SPIN_ONE, 6, 2)
     )
     with pytest.raises(DomainError):
-        family_expansion("bogus", 6, 2)
+        family_pair_reduction("bogus", 6, 2)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -625,6 +638,18 @@ def test_sweep_shape_violation_detector():
     assert sweep_shape_violations([(0, 0.2), (2, 0.1)]) == []
     with pytest.raises(DomainError):
         negativity_sweep("bogus", 10)
+
+
+def test_trace_check_admits_only_the_tolerance():
+    for excess, admitted in ((TRACE_TOLERANCE / 2, True), (2 * TRACE_TOLERANCE, False)):
+        entries = [[0.0] * 9 for _ in range(9)]
+        entries[0][0], entries[1][1] = 0.5, 0.5 + excess
+        rho = TwoQuditDensity(tuple(map(tuple, entries)))
+        if admitted:
+            rho.validate()
+        else:
+            with pytest.raises(DomainError, match="trace"):
+                rho.validate()
 
 
 def test_psd_check_admits_exactly_the_tolerance():

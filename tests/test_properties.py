@@ -89,6 +89,8 @@ def test_walk_numerators_equal_the_per_vector_formula(state):
     basis, pairs = _walk(species, n, twice_m, lambda p, d: (p, d))
     twice_j = species.twice_spin * n
     denominator = comb(twice_j, (twice_j - abs(twice_m)) // 2)
+    if species.n_levels == 2:  # spin 1/2: the one vector's P / D is 1 / 1
+        denominator = 1
     for occ, (p, d) in zip(basis, pairs):
         assert d == denominator
         assert Fraction(p, d) == coefficient_square(species, n, twice_m, occ)
