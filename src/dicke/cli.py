@@ -20,7 +20,8 @@ from .species import SPIN_ONE, DomainError, SpinSpecies, parse_twice, twice_to_s
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Iterable
+    from collections.abc import Callable, Iterable
+    from typing import TextIO
 
     from .coefficients import DickeExpansion
 
@@ -52,12 +53,9 @@ def main(argv: list[str]) -> int:
         return exc.code
     try:
         return args.handler(args)
-    except (DomainError, UnicodeDecodeError) as exc:
+    except (DomainError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, OSError) else 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,64 +66,62 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def add_state_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--spin", required=True, help="1/2, 1, 3/2 or 2")
-        p.add_argument("--n", required=True, type=int, help="particle count N")
-        p.add_argument("--m", required=True, help="magnetization M (may be k/2)")
+    def command(name: str, help: str, handler, *flags: tuple[str, dict]) -> None:
+        p = sub.add_parser(name, help=help)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler)
 
-    def add_format_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    def flag(name: str, **options) -> tuple[str, dict]:
+        return name, options
 
-    p = sub.add_parser("basis", help="enumerate the (N, M) occupation basis")
-    add_state_args(p)
-    add_format_arg(p)
-    p.set_defaults(handler=_cmd_basis)
-
-    p = sub.add_parser("expand", help="closed-form Dicke expansion")
-    add_state_args(p)
-    add_format_arg(p)
-    p.set_defaults(handler=_cmd_expand)
-
-    p = sub.add_parser("oracle", help="ladder-generated Dicke expansion")
-    add_state_args(p)
-    add_format_arg(p)
-    p.add_argument(
+    spin = flag("--spin", required=True, help="1/2, 1, 3/2 or 2")
+    state = (
+        spin,
+        flag("--n", required=True, type=int, help="particle count N"),
+        flag("--m", required=True, help="magnetization M (may be k/2)"),
+    )
+    fmt = flag("--format", choices=("csv", "json"), default="csv")
+    diff = flag(
         "--diff-closed-form",
         action="store_true",
         help="also report the max deviation from the closed form on stderr",
     )
-    p.set_defaults(handler=_cmd_oracle)
-
-    p = sub.add_parser("verify-tables", help="replay the bundled reference tables")
-    p.set_defaults(handler=_cmd_verify_tables)
-
-    p = sub.add_parser("antisym", help="list all elementary antisymmetric states")
-    p.add_argument("--spin", required=True, help="1/2, 1, 3/2 or 2")
-    add_format_arg(p)
-    p.set_defaults(handler=_cmd_antisym)
-
-    p = sub.add_parser("negativity", help="two-qudit negativity")
-    p.add_argument(
-        "--state",
-        required=True,
-        help="bg | psie | psi2 | bsplus | bsminus | psi1:c1,c2 | dicke | equal",
+    command("basis", "enumerate the (N, M) occupation basis", _cmd_basis, *state, fmt)
+    command("expand", "closed-form Dicke expansion", _cmd_expand, *state, fmt)
+    command(
+        "oracle", "ladder-generated Dicke expansion", _cmd_oracle, *state, fmt, diff
     )
-    p.add_argument("--n", type=int, help="particle count (dicke/equal)")
-    p.add_argument("--m", help="magnetization (dicke/equal)")
-    p.add_argument(
-        "--sweep", action="store_true", help="sweep M = 0..J instead of one M"
+    command("verify-tables", "replay the bundled reference tables", _cmd_verify_tables)
+    command(
+        "antisym", "list all elementary antisymmetric states", _cmd_antisym, spin, fmt
     )
-    p.set_defaults(handler=_cmd_negativity)
-
-    p = sub.add_parser("figures", help="emit sweep CSVs and SVG charts")
-    p.add_argument("--out-dir", default=".", help="output directory")
-    p.set_defaults(handler=_cmd_figures)
-
-    p = sub.add_parser("plot", help="render a sweep CSV as an SVG polyline chart")
-    p.add_argument("--in", dest="input", required=True, help="input CSV")
-    p.add_argument("--out", dest="output", required=True, help="output SVG")
-    p.set_defaults(handler=_cmd_plot)
-
+    command(
+        "negativity",
+        "two-qudit negativity",
+        _cmd_negativity,
+        flag(
+            "--state",
+            required=True,
+            help="bg | psie | psi2 | bsplus | bsminus | psi1:c1,c2 | dicke | equal",
+        ),
+        flag("--n", type=int, help="particle count (dicke/equal)"),
+        flag("--m", help="magnetization (dicke/equal)"),
+        flag("--sweep", action="store_true", help="sweep M = 0..J instead of one M"),
+    )
+    command(
+        "figures",
+        "emit sweep CSVs and SVG charts",
+        _cmd_figures,
+        flag("--out-dir", default=".", help="output directory"),
+    )
+    command(
+        "plot",
+        "render a sweep CSV as an SVG polyline chart",
+        _cmd_plot,
+        flag("--in", dest="input", required=True, help="input CSV"),
+        flag("--out", dest="output", required=True, help="output SVG"),
+    )
     return parser
 
 
@@ -144,26 +140,26 @@ def _refuse_past_cap(
 
 
 def _write_csv(
-    header: list[str], rows: Iterable[list[str]], path: str | None = None
+    header: list[str], rows: Iterable[list[str]], handle: TextIO | None = None
 ) -> None:
-    """Stream CSV rows to `path`, or to stdout when no path is given."""
+    """Stream CSV rows to `handle`, or to stdout when no handle is given."""
     import csv
-    from contextlib import nullcontext
 
-    with (
-        nullcontext(sys.stdout)
-        if path is None
-        else open(path, "w", encoding="utf-8", newline="\n")
-    ) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    writer = csv.writer(handle or sys.stdout, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
-def _print_json(payload: dict) -> None:
-    import json
+def _emit(
+    args, header: list[str], rows: Iterable[list[str]], payload: Callable[[], dict]
+) -> None:
+    """Write `rows` as CSV to stdout, or `payload()` as JSON with --format json."""
+    if args.format == "json":
+        import json
 
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(json.dumps(payload(), indent=2) + "\n")
+    else:
+        _write_csv(header, rows)
 
 
 def _cmd_basis(args) -> int:
@@ -173,22 +169,19 @@ def _cmd_basis(args) -> int:
     _refuse_past_cap("basis", species, n, tm, BASIS_CAP)
     vectors = enumerate_basis(species, n, tm)
     formula_count = parametric_count(species, n, tm)
-    if args.format == "json":
-        _print_json(
-            {
-                "spin": species.name,
-                "n": n,
-                "m": twice_to_str(tm),
-                "count": len(vectors),
-                "parametric_count": formula_count,
-                "basis": [list(v) for v in vectors],
-            }
-        )
-    else:
-        _write_csv(
-            list(species.level_labels()),
-            ([str(c) for c in v] for v in vectors),
-        )
+    _emit(
+        args,
+        list(species.level_labels()),
+        ([str(c) for c in v] for v in vectors),
+        lambda: {
+            "spin": species.name,
+            "n": n,
+            "m": twice_to_str(tm),
+            "count": len(vectors),
+            "parametric_count": formula_count,
+            "basis": [list(v) for v in vectors],
+        },
+    )
     if formula_count != len(vectors):
         print(
             f"note: parametric count formula gives {formula_count}, "
@@ -198,27 +191,20 @@ def _cmd_basis(args) -> int:
     return 0
 
 
-def _expansion_rows(x: DickeExpansion) -> Iterable[list[str]]:
-    return ([str(c) for c in occ] + [f"{amp:.17g}"] for occ, amp in x.terms)
-
-
 def _emit_expansion(args, x: DickeExpansion) -> None:
-    if args.format == "json":
-        _print_json(
-            {
-                "spin": x.species.name,
-                "n": x.n_particles,
-                "m": twice_to_str(x.twice_m),
-                "terms": [
-                    {"occupation": list(occ), "coefficient": amp}
-                    for occ, amp in x.terms
-                ],
-            }
-        )
-    else:
-        _write_csv(
-            list(x.species.level_labels()) + ["coefficient"], _expansion_rows(x)
-        )
+    _emit(
+        args,
+        list(x.species.level_labels()) + ["coefficient"],
+        ([str(c) for c in occ] + [f"{amp:.17g}"] for occ, amp in x.terms),
+        lambda: {
+            "spin": x.species.name,
+            "n": x.n_particles,
+            "m": twice_to_str(x.twice_m),
+            "terms": [
+                {"occupation": list(occ), "coefficient": amp} for occ, amp in x.terms
+            ],
+        },
+    )
 
 
 def _cmd_expand(args) -> int:
@@ -253,18 +239,17 @@ def _cmd_oracle(args) -> int:
 def _cmd_verify_tables(args) -> int:
     from .tables import TABLE_TOLERANCE, verify_tables
 
+    verdict = ("FAIL", "PASS")
     reports = verify_tables()
-    all_passed = True
+    all_passed = all(report.passed for report in reports)
     for report in reports:
-        verdict = "PASS" if report.passed else "FAIL"
-        all_passed &= report.passed
         print(
             f"{report.table}: rows={report.rows} corrected={report.corrected_rows} "
             f"max_dev_closed_form={report.max_dev_closed_form:.2e} "
-            f"max_dev_oracle={report.max_dev_oracle:.2e} {verdict}"
+            f"max_dev_oracle={report.max_dev_oracle:.2e} {verdict[report.passed]}"
         )
     print(
-        f"overall: {'PASS' if all_passed else 'FAIL'} "
+        f"overall: {verdict[all_passed]} "
         f"(tolerance {TABLE_TOLERANCE:.0e}, weights=binomial)"
     )
     return 0 if all_passed else 4
@@ -274,38 +259,27 @@ def _cmd_antisym(args) -> int:
     from .antisym import enumerate_all_antisym
 
     species = SpinSpecies.from_str(args.spin)
-    states = enumerate_all_antisym(species)
-    if args.format == "json":
-        _print_json(
-            {
-                "spin": species.name,
-                "count": len(states),
-                "states": [
-                    {
-                        "terms": [
-                            {
-                                "assignment": [twice_to_str(tm) for tm in assignment],
-                                "amplitude": amp,
-                            }
-                            for assignment, amp in state.terms
-                        ]
-                    }
-                    for state in states
-                ],
-            }
-        )
-        return 0
-    rows = []
-    for index, state in enumerate(states):
-        for assignment, amp in state.terms:
-            rows.append(
-                [
-                    str(index),
-                    ",".join(twice_to_str(tm) for tm in assignment),
-                    f"{amp:.17g}",
-                ]
-            )
-    _write_csv(["state", "assignment", "amplitude"], rows)
+    states = [
+        [(list(map(twice_to_str, assignment)), amp) for assignment, amp in state.terms]
+        for state in enumerate_all_antisym(species)
+    ]
+    _emit(
+        args,
+        ["state", "assignment", "amplitude"],
+        (
+            [str(index), ",".join(assignment), f"{amp:.17g}"]
+            for index, terms in enumerate(states)
+            for assignment, amp in terms
+        ),
+        lambda: {
+            "spin": species.name,
+            "count": len(states),
+            "states": [
+                {"terms": [{"assignment": a, "amplitude": amp} for a, amp in terms]}
+                for terms in states
+            ],
+        },
+    )
     return 0
 
 
@@ -313,37 +287,7 @@ def _cmd_negativity(args) -> int:
     from . import entanglement
 
     name, colon, params_text = args.state.partition(":")
-    if name in entanglement.SWEEP_FAMILIES:
-        if colon:
-            raise DomainError(f"--state {name} takes no parameters")
-        if args.n is None:
-            raise DomainError(f"--n is required for --state {name}")
-        if args.sweep:
-            if args.m is not None:
-                raise DomainError("--m and --sweep cannot be combined")
-            if args.n + 1 > SWEEP_CAP:
-                raise DomainError(
-                    f"a sweep of more than {SWEEP_CAP:,} M values is past the CLI cap"
-                )
-            # the bases at M = J, ..., 0 are the lowering chain to M = 0;
-            # the sweep itself refuses fewer than two particles
-            if name == "equal" and args.n > 1:
-                _refuse_past_cap(
-                    "sweep bases", SPIN_ONE, args.n, 0, BASIS_CAP, chain=True
-                )
-            rows = entanglement.negativity_sweep(name, args.n)
-            _write_csv(
-                ["M", "negativity"],
-                ([twice_to_str(tm), f"{value:.6f}"] for tm, value in rows),
-            )
-            return 0
-        if args.m is None:
-            raise DomainError(f"--m or --sweep is required for --state {name}")
-        tm = parse_twice(args.m)
-        if name == "equal":
-            _refuse_past_cap("basis", SPIN_ONE, args.n, tm, BASIS_CAP)
-        rho = entanglement.family_pair_reduction(name, args.n, tm)
-    else:
+    if name not in entanglement.SWEEP_FAMILIES:
         if args.sweep:
             raise DomainError(
                 f"--sweep applies to the dicke/equal families, not {name!r}"
@@ -354,8 +298,35 @@ def _cmd_negativity(args) -> int:
             params = tuple(map(float, params_text.split(","))) if colon else ()
         except ValueError:
             raise DomainError(f"bad state parameters {params_text!r}") from None
-        vector = entanglement.named_two_qutrit_state(name, params)
-        rho = entanglement.density_of(vector)
+        rho = entanglement.density_of(entanglement.named_two_qutrit_state(name, params))
+    elif colon:
+        raise DomainError(f"--state {name} takes no parameters")
+    elif args.n is None:
+        raise DomainError(f"--n is required for --state {name}")
+    elif args.sweep:
+        if args.m is not None:
+            raise DomainError("--m and --sweep cannot be combined")
+        if args.n + 1 > SWEEP_CAP:
+            raise DomainError(
+                f"a sweep of more than {SWEEP_CAP:,} M values is past the CLI cap"
+            )
+        # the bases at M = J, ..., 0 are the lowering chain to M = 0;
+        # the sweep itself refuses fewer than two particles
+        if name == "equal" and args.n > 1:
+            _refuse_past_cap("sweep bases", SPIN_ONE, args.n, 0, BASIS_CAP, chain=True)
+        rows = entanglement.negativity_sweep(name, args.n)
+        _write_csv(
+            ["M", "negativity"],
+            ([twice_to_str(tm), f"{value:.6f}"] for tm, value in rows),
+        )
+        return 0
+    elif args.m is None:
+        raise DomainError(f"--m or --sweep is required for --state {name}")
+    else:
+        tm = parse_twice(args.m)
+        if name == "equal":
+            _refuse_past_cap("basis", SPIN_ONE, args.n, tm, BASIS_CAP)
+        rho = entanglement.family_pair_reduction(name, args.n, tm)
     print(f"{entanglement.negativity(rho).value:.6f}")
     return 0
 
@@ -366,8 +337,7 @@ def _cmd_figures(args) -> int:
     from . import svg
     from .entanglement import negativity_sweep, sweep_shape_violations
 
-    out_dir = args.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out_dir, exist_ok=True)
 
     dicke_sweeps = {n: negativity_sweep("dicke", n) for n in FIGURE_PARTICLE_COUNTS}
     equal_sweeps = {n: negativity_sweep("equal", n) for n in COMPARISON_PARTICLE_COUNTS}
@@ -375,9 +345,8 @@ def _cmd_figures(args) -> int:
     problems: list[str] = []
     for n, rows in dicke_sweeps.items():
         problems += [f"N={n}: {p}" for p in sweep_shape_violations(rows)]
-    zero_m = [(n, dicke_sweeps[n][0][1]) for n in FIGURE_PARTICLE_COUNTS]
-    for (n_a, v_a), (n_b, v_b) in zip(zero_m, zero_m[1:]):
-        if not v_a > v_b:
+    for n_a, n_b in zip(FIGURE_PARTICLE_COUNTS, FIGURE_PARTICLE_COUNTS[1:]):
+        if not dicke_sweeps[n_a][0][1] > dicke_sweeps[n_b][0][1]:
             problems.append(
                 f"M=0 negativity does not decrease from N={n_a} to N={n_b}"
             )
@@ -391,43 +360,37 @@ def _cmd_figures(args) -> int:
             print(f"shape violation: {problem}", file=sys.stderr)
         return 4
 
-    _write_csv(
+    def figure(name: str, title: str, header, rows, series) -> None:
+        """name.csv from `rows`; name.svg charts each (2M, value) sweep over M."""
+        path = os.path.join(args.out_dir, name)
+        with open(f"{path}.csv", "w", encoding="utf-8", newline="\n") as handle:
+            _write_csv(header, rows, handle)
+        points = [(label, [(tm / 2, v) for tm, v in sweep]) for label, sweep in series]
+        svg.write_chart(f"{path}.svg", points, title, "M", "negativity")
+
+    figure(
+        "fig1",
+        "Pair negativity of Dicke states",
         ["N", "M", "negativity"],
         [
             [str(n), twice_to_str(tm), f"{value:.6f}"]
             for n in FIGURE_PARTICLE_COUNTS
             for tm, value in dicke_sweeps[n]
         ],
-        os.path.join(out_dir, "fig1.csv"),
-    )
-    svg.write_chart(
-        os.path.join(out_dir, "fig1.svg"),
-        [(f"N={n}", _points(dicke_sweeps[n])) for n in FIGURE_PARTICLE_COUNTS],
-        title="Pair negativity of Dicke states",
-        x_label="M",
-        y_label="negativity",
+        [(f"N={n}", dicke_sweeps[n]) for n in FIGURE_PARTICLE_COUNTS],
     )
     for n in COMPARISON_PARTICLE_COUNTS:
-        rows = [
-            [twice_to_str(tm), f"{dicke:.6f}", f"{equal:.6f}"]
-            for (tm, dicke), (_, equal) in zip(dicke_sweeps[n], equal_sweeps[n])
-        ]
-        _write_csv(
-            ["M", "dicke", "equal"], rows, os.path.join(out_dir, f"fig2_n{n}.csv")
-        )
-        svg.write_chart(
-            os.path.join(out_dir, f"fig2_n{n}.svg"),
-            [("dicke", _points(dicke_sweeps[n])), ("equal", _points(equal_sweeps[n]))],
-            title=f"Dicke vs equal-probability states, N={n}",
-            x_label="M",
-            y_label="negativity",
+        figure(
+            f"fig2_n{n}",
+            f"Dicke vs equal-probability states, N={n}",
+            ["M", "dicke", "equal"],
+            [
+                [twice_to_str(tm), f"{dicke:.6f}", f"{equal:.6f}"]
+                for (tm, dicke), (_, equal) in zip(dicke_sweeps[n], equal_sweeps[n])
+            ],
+            [("dicke", dicke_sweeps[n]), ("equal", equal_sweeps[n])],
         )
     return 0
-
-
-def _points(rows: list[tuple[int, float]]) -> list[tuple[float, float]]:
-    """(M, negativity) chart points of (2M, negativity) sweep rows."""
-    return [(tm / 2.0, value) for tm, value in rows]
 
 
 def _cmd_plot(args) -> int:
@@ -449,12 +412,10 @@ def _cmd_plot(args) -> int:
     for row in records:
         if len(row) < len(header):
             raise DomainError(f"row {row} has fewer than {len(header)} cells")
-    series = []
-    for k, label in enumerate(header[1:], start=1):
-        points = []
-        for row in records:
-            points.append((_parse_number(row[0]), _parse_number(row[k])))
-        series.append((label, points))
+    series = [
+        (label, [(_parse_number(row[0]), _parse_number(row[k])) for row in records])
+        for k, label in enumerate(header[1:], start=1)
+    ]
     svg.write_chart(args.output, series, x_label=header[0])
     return 0
 

@@ -35,6 +35,16 @@ def test_no_arguments_prints_usage_and_exits_2(capsys):
     assert "usage" in err.lower()
 
 
+def test_console_entry_point_reads_the_arguments_after_the_program(
+    capsys, monkeypatch
+):
+    monkeypatch.setattr("sys.argv", ["dicke", "negativity", "--state", "psie"])
+    with pytest.raises(SystemExit) as exit_info:
+        dicke.cli.console_main()
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == "0.822109\n"
+
+
 def test_unknown_command_exits_2(capsys):
     code, _, _ = run(["frobnicate"], capsys)
     assert code == 2
@@ -161,6 +171,21 @@ def test_oracle_matches_expand_and_reports_deviation(capsys):
         assert float(o_row[4]) == pytest.approx(float(e_row[4]), abs=1e-10)
 
 
+def test_oracle_deviation_covers_the_terms_the_oracle_prunes(capsys):
+    """Spin 3/2 at N = 48, M = 0 has closed-form amplitudes below the
+    oracle's prune threshold: a pruned term counts as amplitude 0."""
+    species = SpinSpecies.from_str("3/2")
+    basis_size = len(dicke_expansion(species, 48, 0).terms)
+    assert len(dicke.ladder.oracle_expansion(species, 48, 0).terms) < basis_size
+    code, _, err = run(
+        ["oracle", "--spin", "3/2", "--n", "48", "--m", "0", "--diff-closed-form"],
+        capsys,
+    )
+    assert code == 0
+    assert err.startswith("max deviation from closed form: ")
+    assert float(err.rsplit(":", 1)[1]) < 1e-13
+
+
 #: sha256 of the .17g CSV each oracle command prints; both chains are long
 #: enough to switch to the factor tables, which must not move a bit
 ORACLE_DIGESTS = {
@@ -192,6 +217,50 @@ def test_expand_output_bytes_are_pinned(spin, n, m, capsys):
     assert code == 0 and err == ""
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == EXPAND_DIGESTS[spin, n, m]
+
+
+#: sha256 of each `--help` text at 80 columns: the top-level parser, then
+#: every subcommand
+HELP_DIGESTS = {
+    "": "24eaad03ffa4b87c480087190f481f0918eca4c686834f6529f6ea92e8b9aa11",
+    "basis": "24b199ab9776d93a521b6a95934f312abdeedc3d9780d7715d5753ceee7024b9",
+    "expand": "9324efb1934249d6f72a6577c26d2f00900389fdc5da519ba555e685be01f602",
+    "oracle": "0e5b6e9b3bd2f7c1ab4174ff843370b02b068e54c18a1908b5a1b1af3d2d0d86",
+    "verify-tables": "0ba31a123ca699f970c861167ed9f8165c738a684b092cb5ab8926c869849bf9",
+    "antisym": "be4634244b52defc7b175faf254c48353b65922f438d2a40fe5dcf56176b10f6",
+    "negativity": "5850a8f4cb7e26f96a64d7dca23cb2cee8332687f2239918afac7849dace6e86",
+    "figures": "e1cc36b21f619bd391aad426836e420a0fb7b72f8fceb7c1a156b60f139afc2b",
+    "plot": "4dbeaa8e85f396b5feb352da6d4414d8afa723b0b803455f67c71ad11b2aab5a",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
+def test_help_text_is_pinned(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run([command, "--help"] if command else ["--help"], capsys)
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == HELP_DIGESTS[command], out
+
+
+#: sha256 of the `--format json` bytes of one command of each JSON writer
+JSON_DIGESTS = {
+    ("basis", "--spin", "3/2", "--n", "6", "--m", "0"):
+        "2ce36c7df77d78c427abf0833acaee8dbe1d48c5aeb05890f9bd23ca39fcdbf7",
+    ("expand", "--spin", "1", "--n", "10", "--m", "-1"):
+        "85033862b3e6bd3bfb2e671108caa80fe4fcd12ddb5969052ce308115dc9236a",
+    ("oracle", "--spin", "2", "--n", "12", "--m", "2"):
+        "ae3ce9d2d0a1098899b209cf75c2b0f6fa405076761a017d620443e05d95fa1d",
+    ("antisym", "--spin", "3/2"):
+        "a9a5e88ddb49e79362f5a473cd85ae846c5de0efc8f100a001395c249625279b",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(JSON_DIGESTS))
+def test_json_output_bytes_are_pinned(argv, capsys):
+    code, out, _ = run([*argv, "--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == JSON_DIGESTS[argv]
 
 
 @pytest.mark.parametrize("command", ["basis", "expand", "oracle"])
@@ -260,6 +329,31 @@ def test_size_checks_stop_once_past_the_cap(argv, capsys):
     assert peak < 10 * 2**20
 
 
+@pytest.mark.parametrize("family", ["dicke", "equal"])
+def test_sweep_cap_admits_up_to_cap_m_values(family, capsys, monkeypatch):
+    monkeypatch.setattr(dicke.cli, "SWEEP_CAP", 11)
+    argv = ["negativity", "--state", family, "--sweep", "--n"]
+    code, out, _ = run([*argv, "10"], capsys)
+    assert code == 0
+    assert len(parse_csv(out)[1]) == 11
+    code, out, err = run([*argv, "11"], capsys)
+    assert (code, out) == (2, "")
+    assert "a sweep of more than 11 M values is past the CLI cap" in err
+
+
+def test_equal_sweep_reports_too_few_particles_before_sizing(capsys, monkeypatch):
+    """One particle is refused as too few even when a size check would
+    refuse it too; two particles are sized like any other sweep."""
+    monkeypatch.setattr(dicke.cli, "BASIS_CAP", 1)
+    argv = ["negativity", "--state", "equal", "--sweep", "--n"]
+    code, _, err = run([*argv, "1"], capsys)
+    assert code == 2
+    assert "particles" in err and "cap" not in err
+    code, _, err = run([*argv, "2"], capsys)
+    assert code == 2
+    assert "sweep bases of more than 1 vectors is past the CLI cap" in err
+
+
 def test_dicke_family_point_at_a_million_particles(capsys):
     code, out, _ = run(
         ["negativity", "--state", "dicke", "--n", "1000000", "--m", "0"], capsys
@@ -291,6 +385,25 @@ def test_verify_tables_weights_option_is_a_usage_error(capsys):
     assert "Traceback" not in err
 
 
+def test_verify_tables_failing_table_exits_4(capsys, monkeypatch):
+    import dicke.tables
+
+    reports = [
+        dicke.tables.TableReport("good", 3, 0, 1e-9, 2e-9),
+        dicke.tables.TableReport("bad", 4, 1, 1e-9, 1.0),
+    ]
+    monkeypatch.setattr(dicke.tables, "verify_tables", lambda: reports)
+    code, out, _ = run(["verify-tables"], capsys)
+    assert code == 4
+    assert out.splitlines() == [
+        "good: rows=3 corrected=0 max_dev_closed_form=1.00e-09 "
+        "max_dev_oracle=2.00e-09 PASS",
+        "bad: rows=4 corrected=1 max_dev_closed_form=1.00e-09 "
+        "max_dev_oracle=1.00e+00 FAIL",
+        "overall: FAIL (tolerance 5e-05, weights=binomial)",
+    ]
+
+
 def test_verify_tables_missing_data_exits_3(capsys, monkeypatch):
     import dicke.tables
 
@@ -303,10 +416,9 @@ def test_verify_tables_missing_data_exits_3(capsys, monkeypatch):
 def test_figures_shape_violation_exits_4(tmp_path, capsys, monkeypatch):
     import dicke.cli
 
-    def broken_sweep(family, n, twice_ms=None):
-        if twice_ms is None:
-            twice_ms = list(range(0, 2 * n + 1, 2))
-        return [(tm, 0.001 * tm) for tm in twice_ms]  # increases with M
+    def broken_sweep(family, n):
+        # increases with M
+        return [(tm, 0.001 * tm) for tm in range(0, 2 * n + 1, 2)]
 
     monkeypatch.setattr(dicke.entanglement, "negativity_sweep", broken_sweep)
     code, _, err = run(["figures", "--out-dir", str(tmp_path)], capsys)
@@ -318,7 +430,7 @@ def test_figures_shape_violation_exits_4(tmp_path, capsys, monkeypatch):
 def _figures_with_sweeps(tmp_path, capsys, monkeypatch, dicke_value, equal_value):
     """Run `figures` on made-up sweeps: value(n, 2M) per family."""
 
-    def sweep(family, n, twice_ms=None):
+    def sweep(family, n):
         value = dicke_value if family == "dicke" else equal_value
         return [(tm, value(n, tm)) for tm in range(0, 2 * n + 1, 2)]
 
