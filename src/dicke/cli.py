@@ -2,9 +2,10 @@
 
 Subcommands: basis, expand, oracle, verify-tables, antisym, negativity,
 figures, plot.  Exit codes: 0 success, 2 usage, domain or malformed-input
-error or an input past a size cap, 3 missing data file or other I/O
-failure, 4 violated shape or consistency property.  All output is UTF-8
-with LF line endings; CSV uses ',' separators and '.' decimal points.
+error or an input past a size cap, 3 missing or malformed data file or
+other I/O failure, 4 violated shape or consistency property.  All output
+is UTF-8 with LF line endings; CSV uses ',' separators and '.' decimal
+points.
 
 The parser needs only `species`; each command imports the layers it runs
 (and `csv` or `json` where it writes them), so a fresh interpreter loads
@@ -401,12 +402,14 @@ def _cmd_plot(args) -> int:
     with open(args.input, encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DomainError(f"{args.input} is empty") from None
-        if len(header) < 2:
-            raise DomainError("plot input needs an x column and at least one series")
-        records = [row for row in reader if row]
+            header = next(reader, None)
+            records = [row for row in reader if row]
+        except csv.Error as exc:
+            raise DomainError(f"{args.input}, line {reader.line_num}: {exc}") from None
+    if header is None:
+        raise DomainError(f"{args.input} is empty")
+    if len(header) < 2:
+        raise DomainError("plot input needs an x column and at least one series")
     if not records:
         raise DomainError(f"{args.input} has a header but no data rows")
     for row in records:

@@ -30,6 +30,12 @@ costs more than the work already done.  Spin-1/2 and spin-1 chains never
 get there: with at most three levels a level pair fixes the vector, so
 no factor is read twice.
 
+One walk serves every M on its way: `_chain` yields the raw state at each
+M it passes and `_finish` divides, normalizes, prunes and sorts one of
+them.  `oracle_expansion` finishes the last state; the table replay walks
+once per (species, N) to the lowest M its rows name and finishes each M
+it needs, with the same bits as a separate chain to that M.
+
 The exact mode walks integers: in the monomial basis with level-i
 variables rescaled by prod_{k<i} sqrt(f2_k), J- is the derivation
 sum_i z_{i+1} d/dz_i, and the squared amplitudes follow from the integer
@@ -43,7 +49,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 from math import factorial, sqrt
-from operator import mul
+from operator import lshift, mul
 from typing import Iterator
 
 from .basis import OccupationVector, lowering_depth_sizes
@@ -164,11 +170,12 @@ def _packed_step(x: DickeExpansion | RawExpansion, lowering: bool) -> dict[int, 
     key is an occupation vector of x's N particles."""
     species, n = x.species, x.n_particles
     width = n.bit_length()
+    shifts = range(0, width * species.n_levels, width)
     packed: dict[int, float] = {}
     for occ, amp in x.terms.items() if isinstance(x.terms, dict) else x.terms:
         if len(occ) != species.n_levels or min(occ) < 0 or sum(occ) != n:
             raise DomainError(f"{occ} is not an occupation vector of {n} particles")
-        packed[sum(c << width * i for i, c in enumerate(occ))] = amp
+        packed[sum(map(lshift, occ, shifts))] = amp
     return _step(packed, _moves(species, width, lowering), (1 << width) - 1)
 
 
@@ -207,16 +214,17 @@ def chain_vectors(species: SpinSpecies, n_particles: int, twice_m: int) -> int:
     return sum(lowering_depth_sizes(species, n_particles, depth))
 
 
-def oracle_expansion(
+def _chain(
     species: SpinSpecies, n_particles: int, twice_m: int
-) -> DickeExpansion:
-    """|J, M> generated by lowering from |J, J>, renormalized stepwise.
+) -> Iterator[tuple[int, dict[int, float], float]]:
+    """The lowering chain from |J, J> down to |J, M>: yields (2M', raw,
+    divisor) at every M' = J, J - 1, ..., M on the way, with the state at
+    M' equal to raw / divisor on packed keys, unnormalized and unpruned.
 
-    Each step divides by sqrt((J + M)(J - M + 1)) for the step M -> M - 1,
-    as the next step reads its input; amplitudes below PRUNE_THRESHOLD are
-    dropped at the end.
+    Each step divides by sqrt((J + M')(J - M' + 1)) for the step
+    M' -> M' - 1 as the next step reads its input, so the state at M' does
+    not depend on how far the chain goes on.
     """
-    check_domain(species, n_particles, twice_m)
     twice_j = species.twice_spin * n_particles
     width = n_particles.bit_length()
     mask = (1 << width) - 1
@@ -225,6 +233,8 @@ def oracle_expansion(
     tabled = None
     walked = 0
     terms, divisor = {n_particles: 1.0}, 1.0  # |J, J>: every particle in level 0
+    tm = twice_j
+    yield tm, terms, divisor
     for step in _lowering_steps(twice_j, twice_m):
         if tabled is None and walked > table_size:
             tabled = _tables(moves, n_particles, width)
@@ -234,15 +244,41 @@ def oracle_expansion(
         else:
             terms = _table_step(terms, tabled, (1 << 2 * width) - 1, divisor)
         divisor = sqrt(step)
-    terms = {key: raw / divisor for key, raw in terms.items()}
+        tm -= 2
+        yield tm, terms, divisor
+
+
+def _finish(
+    species: SpinSpecies,
+    n_particles: int,
+    twice_m: int,
+    raw: dict[int, float],
+    divisor: float,
+) -> DickeExpansion:
+    """|J, M> from one state of `_chain`: divided, normalized, with the
+    amplitudes below PRUNE_THRESHOLD dropped, in descending lexicographic
+    order as `enumerate_basis` gives it."""
+    width = n_particles.bit_length()
+    terms = {key: value / divisor for key, value in raw.items()}
     norm = sqrt(sum(a * a for a in terms.values()))
     cleaned = sorted(
         (_unpack(key, width, species.n_levels), amp / norm)
         for key, amp in terms.items()
         if abs(amp / norm) > PRUNE_THRESHOLD
     )
-    cleaned.reverse()  # descending lexicographic, matching enumerate_basis
+    cleaned.reverse()
     return DickeExpansion(species, n_particles, twice_m, tuple(cleaned))
+
+
+def oracle_expansion(
+    species: SpinSpecies, n_particles: int, twice_m: int
+) -> DickeExpansion:
+    """|J, M> generated by lowering from |J, J>, renormalized stepwise: the
+    last state of `_chain`, finished."""
+    check_domain(species, n_particles, twice_m)
+    for _, raw, divisor in _chain(species, n_particles, twice_m):
+        pass
+    return _finish(species, n_particles, twice_m, raw, divisor)
 
 
 def total_spin_expectation(x: DickeExpansion) -> float:

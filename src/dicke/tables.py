@@ -8,16 +8,21 @@ status "corrected" with the original cell preserved in the `printed`
 column, and VALIDATION.md spells out the evidence for each fix.
 
 `verify_tables` replays every row against both the closed-form engine and
-the ladder construction and reports the worst deviation per table.
+the ladder construction and reports the worst deviation per table.  The
+ladder side walks once per (species, N), down to the lowest M of its
+rows, and one walk serves every M on its way.  The CSV is read with
+`csv.reader` after its header row is checked against `_HEADER`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
+from typing import NamedTuple
 
 from .coefficients import dicke_expansion
-from .ladder import oracle_expansion
+from .ladder import _chain, _finish
 from .species import SpinSpecies, parse_twice
 
 TABLE_TOLERANCE = 5e-5
@@ -25,8 +30,7 @@ DATA_PACKAGE = "dicke.data"
 DATA_FILENAME = "reference_tables.csv"
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     table: str
     species: SpinSpecies
     n_particles: int
@@ -35,6 +39,10 @@ class TableRow:
     coefficient: float
     status: str  # ok | corrected | duplicate
     printed: str  # original cell content for corrected rows
+
+
+#: the data file's header row, the columns of `TableRow` in its order
+_HEADER = ["table", "spin", "n", "m", "occupation", "coefficient", "status", "printed"]
 
 
 @dataclass(frozen=True)
@@ -54,39 +62,58 @@ class TableReport:
 
 
 def load_reference_rows() -> list[TableRow]:
-    """Parse the bundled CSV; FileNotFoundError if the data file is absent."""
+    """Parse the bundled CSV.  FileNotFoundError if the data file is
+    absent, OSError if its header is not `_HEADER` or a row does not parse."""
     import csv
 
     path = resources.files(DATA_PACKAGE).joinpath(DATA_FILENAME)
     if not path.is_file():
         raise FileNotFoundError(f"reference table data missing: {path}")
-    rows = []
+    species_of = cache(SpinSpecies.from_str)
     with path.open(encoding="utf-8") as handle:
-        for record in csv.DictReader(handle):
-            rows.append(
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, [])
+            if header != _HEADER:
+                raise ValueError(f"header {header} is not {_HEADER}")
+            return [
                 TableRow(
-                    record["table"],
-                    SpinSpecies.from_str(record["spin"]),
-                    int(record["n"]),
-                    parse_twice(record["m"]),
-                    tuple(int(c) for c in record["occupation"].split()),
-                    float(record["coefficient"]),
-                    record["status"],
-                    record["printed"],
+                    table,
+                    species_of(spin),
+                    int(n),
+                    parse_twice(m),
+                    tuple(map(int, occ.split())),
+                    float(coefficient),
+                    status,
+                    printed,
                 )
-            )
-    return rows
+                for table, spin, n, m, occ, coefficient, status, printed in reader
+            ]
+        except (ValueError, csv.Error) as exc:
+            raise OSError(
+                f"malformed reference table data: {path}, line {reader.line_num}: {exc}"
+            ) from None
 
 
 def verify_tables() -> list[TableReport]:
     """Replay every table row through both engines: the closed form with
-    the validated binomial weight and the ladder oracle."""
+    the validated binomial weight and the ladder oracle.  One lowering
+    chain per (species, N) serves every M its rows name."""
     rows = load_reference_rows()
-    expansions: dict[tuple, dict] = {}
-    oracles: dict[tuple, dict] = {}
+    per_chain: dict[tuple[SpinSpecies, int], set[int]] = {}
     per_table: dict[str, list[TableRow]] = {}
     for row in rows:
+        per_chain.setdefault((row.species, row.n_particles), set()).add(row.twice_m)
         per_table.setdefault(row.table, []).append(row)
+    expansions: dict[tuple, dict] = {}
+    oracles: dict[tuple, dict] = {}
+    for (species, n), twice_ms in per_chain.items():
+        for tm in twice_ms:  # checks every M's domain before the chain runs
+            expansions[species, n, tm] = dicke_expansion(species, n, tm).as_dict()
+        for tm, raw, divisor in _chain(species, n, min(twice_ms)):
+            if tm in twice_ms:
+                state = _finish(species, n, tm, raw, divisor)
+                oracles[species, n, tm] = state.as_dict()
 
     reports = []
     for table in sorted(per_table):
@@ -95,9 +122,6 @@ def verify_tables() -> list[TableReport]:
         corrected = 0
         for row in per_table[table]:
             key = (row.species, row.n_particles, row.twice_m)
-            if key not in expansions:
-                expansions[key] = dicke_expansion(*key).as_dict()
-                oracles[key] = oracle_expansion(*key).as_dict()
             closed = expansions[key].get(row.occupation, 0.0)
             oracle = oracles[key].get(row.occupation, 0.0)
             worst_closed = max(worst_closed, abs(closed - row.coefficient))

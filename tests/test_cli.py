@@ -311,9 +311,22 @@ def test_equal_family_past_the_basis_cap_exits_2_before_enumerating(
         ["expand", "--spin", "2", "--n", "10000000", "--m", "0"],
     ],
 )
-def test_size_checks_stop_once_past_the_cap(argv, capsys):
+def test_size_checks_stop_once_past_the_cap(argv, capsys, monkeypatch):
+    """Each refusal is timed and measured; the jobs past it raise when
+    called, so a dropped size check fails at once instead of running."""
     import dicke.coefficients, dicke.entanglement, dicke.ladder  # imported unmeasured
 
+    def unreachable(*args):
+        raise AssertionError("the job past the cap was started")
+
+    for target in (
+        "dicke.basis.enumerate_basis",
+        "dicke.coefficients.dicke_expansion",
+        "dicke.ladder.oracle_expansion",
+        "dicke.entanglement.negativity_sweep",
+        "dicke.entanglement.family_pair_reduction",
+    ):
+        monkeypatch.setattr(target, unreachable)
     tracemalloc.start()
     try:
         start = perf_counter()
@@ -402,6 +415,90 @@ def test_verify_tables_failing_table_exits_4(capsys, monkeypatch):
         "max_dev_oracle=1.00e+00 FAIL",
         "overall: FAIL (tolerance 5e-05, weights=binomial)",
     ]
+
+
+#: sha256 of the `verify-tables` stdout on the bundled data
+VERIFY_TABLES_DIGEST = "c809ec2ee35037167818add14c33772c51c009a5bebb18215ffc880b55532e90"
+
+
+def test_verify_tables_output_bytes_are_pinned(capsys):
+    code, out, err = run(["verify-tables"], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_TABLES_DIGEST
+
+
+def _reference_data(tmp_path, monkeypatch, edit):
+    """Point the table loader at a copy of the bundled CSV whose rows, as
+    lists of cells, went through `edit`."""
+    import types
+
+    import dicke.tables
+
+    source = dicke.tables.resources.files(dicke.tables.DATA_PACKAGE)
+    text = source.joinpath(dicke.tables.DATA_FILENAME).read_text(encoding="utf-8")
+    rows = edit(list(csv.reader(io.StringIO(text))))
+    with open(tmp_path / dicke.tables.DATA_FILENAME, "w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    monkeypatch.setattr(
+        dicke.tables, "resources", types.SimpleNamespace(files=lambda _: tmp_path)
+    )
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # n and m swapped in every row: read by name this is the same data,
+        # read by position it is another
+        (lambda rows: [r[:2] + [r[3], r[2]] + r[4:] for r in rows], "header"),
+        (lambda rows: [r[:-1] for r in rows], "header"),
+        (lambda rows: [r[:-1] for r in rows[:1]] + rows[1:], "header"),
+        (lambda rows: [], "header []"),
+        (lambda rows: rows[:3] + [rows[3][:-1]] + rows[4:], "line 4"),
+        (lambda rows: rows[:5] + [rows[5] + ["x"]] + rows[6:], "line 6"),
+        (lambda rows: rows[:2] + [["table1", "1", "ten"] + rows[2][3:]], "line 3"),
+        (lambda rows: rows + [rows[1][:1] + ["5/2"] + rows[1][2:]], "unknown spin"),
+    ],
+    ids=[
+        "reordered-header",
+        "missing-column",
+        "short-header",
+        "empty",
+        "short-row",
+        "long-row",
+        "bad-n",
+        "bad-spin",
+    ],
+)
+def test_verify_tables_malformed_data_exits_3(
+    edit, message, tmp_path, capsys, monkeypatch
+):
+    _reference_data(tmp_path, monkeypatch, edit)
+    code, out, err = run(["verify-tables"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: malformed reference table data")
+    assert message in err
+
+
+def test_verify_tables_reads_a_copy_of_the_data(tmp_path, capsys, monkeypatch):
+    _reference_data(tmp_path, monkeypatch, lambda rows: rows)
+    code, out, _ = run(["verify-tables"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_TABLES_DIGEST
+
+
+def test_verify_tables_row_outside_its_basis_reads_amplitude_0(
+    tmp_path, capsys, monkeypatch
+):
+    """Table 1 (spin 1, N = 10) gains a row at M = 9 whose vector has
+    M = 8: neither engine has it, so both deviate by the printed 1.0."""
+    extra = ["table1", "1", "10", "9", "8 2 0", "1.0000", "ok", ""]
+    _reference_data(tmp_path, monkeypatch, lambda rows: rows + [extra])
+    code, out, _ = run(["verify-tables"], capsys)
+    assert code == 4
+    assert out.splitlines()[0] == (
+        "table1: rows=12 corrected=1 max_dev_closed_form=1.00e+00 "
+        "max_dev_oracle=1.00e+00 FAIL"
+    )
 
 
 def test_verify_tables_missing_data_exits_3(capsys, monkeypatch):
@@ -791,6 +888,18 @@ def test_plot_non_finite_value_exits_2(cell, tmp_path, capsys):
     assert code == 2
     assert "finite" in err
     assert not out_svg.exists()
+
+
+def test_plot_cell_past_the_csv_field_limit_exits_2(tmp_path, capsys):
+    limit = csv.field_size_limit()
+    source = tmp_path / "big.csv"
+    source.write_text(f"M,negativity\n0,0.3\n1,{'1' * 200_000}\n", encoding="utf-8")
+    out_svg = tmp_path / "big.svg"
+    code, out, err = run(["plot", "--in", str(source), "--out", str(out_svg)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {source}, line 3: field larger than field limit")
+    assert not out_svg.exists()
+    assert csv.field_size_limit() == limit
 
 
 def test_plot_missing_input_exits_3(tmp_path, capsys):

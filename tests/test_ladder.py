@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt, sqrt
 
 import pytest
@@ -19,10 +20,13 @@ from dicke import (
     oracle_expansion,
     total_spin_expectation,
 )
+from dicke.basis import lowering_depth_sizes
 from dicke.coefficients import exact_coefficient_squares
 import dicke.ladder
 from dicke.ladder import (
     RawExpansion,
+    _chain,
+    _finish,
     _lowering_steps,
     _moves,
     _tables,
@@ -323,3 +327,69 @@ def test_long_chains_build_their_tables_once(monkeypatch):
     assert len(builds) == 2
     oracle_expansion(SPIN_TWO, 2, 0)  # tiny chains stay inline
     assert len(builds) == 2
+
+
+def _bits(x):
+    return [(occ, amp.hex()) for occ, amp in x.terms]
+
+
+@pytest.mark.parametrize(
+    "species, n, lowest, tabled",
+    [
+        (SPIN_HALF, 9, -9, False),
+        (SPIN_ONE, 10, 0, False),
+        (SPIN_ONE, 40, -80, False),
+        (SPIN_THREE_HALVES, 6, 0, False),
+        (SPIN_THREE_HALVES, 9, -27, True),
+        (SPIN_TWO, 5, 0, False),
+        (SPIN_TWO, 12, -24, True),
+        (SPIN_TWO, 20, 0, True),
+    ],
+)
+def test_one_chain_finishes_to_the_oracle_at_every_m(
+    species, n, lowest, tabled, monkeypatch
+):
+    """Every state one walk passes, finished, is `oracle_expansion` at its
+    M bit for bit, before and after the walk switches to the tables."""
+    builds = _count_table_builds(monkeypatch)
+    finished = []
+    for tm, raw, divisor in _chain(species, n, lowest):
+        # renormalized at every step, not only when finished
+        assert sum((v / divisor) ** 2 for v in raw.values()) == pytest.approx(1.0)
+        finished.append((tm, _finish(species, n, tm, raw, divisor)))
+    assert len(builds) == tabled
+    assert [tm for tm, _ in finished] == list(
+        range(species.twice_spin * n, lowest - 1, -2)
+    )
+    for tm, state in finished:
+        assert (state.n_particles, state.twice_m) == (n, tm)
+        assert _bits(state) == _bits(oracle_expansion(species, n, tm))
+
+
+@pytest.mark.parametrize(
+    "species, n, tie, built",
+    [
+        (SPIN_THREE_HALVES, 3, True, False),
+        (SPIN_THREE_HALVES, 5, True, True),
+        (SPIN_THREE_HALVES, 8, False, True),
+        (SPIN_TWO, 3, True, True),
+        (SPIN_TWO, 9, True, True),
+        (SPIN_TWO, 20, False, True),
+    ],
+)
+def test_chains_switch_to_tables_after_walking_more_vectors_than_they_hold(
+    species, n, tie, built, monkeypatch
+):
+    """The tables of a chain hold 2s * N(N+1)/2 factors.  They are built
+    before the first step whose earlier steps walked more vectors than
+    that, and not at a step where the two are equal (`tie`)."""
+    builds = _count_table_builds(monkeypatch)
+    twice_j = species.twice_spin * n
+    table_size = species.twice_spin * n * (n + 1) // 2
+    walked = list(accumulate(lowering_depth_sizes(species, n, twice_j), initial=0))
+    assert (table_size in walked) == tie
+    for depth, _ in enumerate(_chain(species, n, -twice_j)):
+        # the state at depth d >= 1 came from the step that had walked the
+        # states at depths 0 .. d - 2
+        assert len(builds) == int(depth >= 1 and walked[depth - 1] > table_size)
+    assert len(builds) == built

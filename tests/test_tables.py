@@ -4,7 +4,8 @@ from math import factorial, sqrt
 
 import pytest
 
-from dicke import enumerate_basis
+from dicke import SPIN_ONE, SPIN_THREE_HALVES, SPIN_TWO, enumerate_basis
+import dicke.tables
 from dicke.tables import TABLE_TOLERANCE, load_reference_rows, verify_tables
 
 #: squared level weights of the two rejected readings, up to a common
@@ -66,6 +67,48 @@ def test_verification_passes_with_the_validated_weight():
         assert report.passed, report
         assert report.max_dev_closed_form <= TABLE_TOLERANCE
         assert report.max_dev_oracle <= TABLE_TOLERANCE
+
+
+#: (table, rows, corrected rows, max closed-form deviation, max oracle
+#: deviation) of every report, the floats as `float.hex`; the oracle column
+#: is the one each (species, N, M) gets from its own lowering chain
+PINNED_REPORTS = [
+    ("table1", 11, 1, "0x1.5830ad012c000p-15", "0x1.5830ad0128000p-15"),
+    ("table2", 24, 0, "0x1.8f4c95aaf0800p-15", "0x1.8f4c95aaef800p-15"),
+    ("table3", 11, 0, "0x1.9d7efda0ec800p-15", "0x1.9d7efda0ec000p-15"),
+    ("table4", 35, 0, "0x1.94854d6608000p-15", "0x1.94854d6608000p-15"),
+    ("table5", 17, 1, "0x1.88498e3b49000p-15", "0x1.88498e3b4a000p-15"),
+    ("table6", 52, 8, "0x1.9ecfedf054000p-15", "0x1.9ecfedf058000p-15"),
+]
+
+
+def test_reports_are_pinned_to_the_bit():
+    assert [
+        (r.table, r.rows, r.corrected_rows, r.max_dev_closed_form.hex(),
+         r.max_dev_oracle.hex())
+        for r in verify_tables()
+    ] == PINNED_REPORTS
+
+
+def test_one_lowering_walk_serves_every_m_of_a_species_and_n(monkeypatch):
+    """Three walks of 10, 9 and 10 steps, down to the lowest M of each
+    (species, N), replace one chain from |J, J> per (species, N, M)."""
+    walks = []
+    chain = dicke.tables._chain
+
+    def counted(*args):
+        walks.append([args, -1])
+        for state in chain(*args):
+            walks[-1][1] += 1
+            yield state
+
+    monkeypatch.setattr(dicke.tables, "_chain", counted)
+    verify_tables()
+    assert walks == [
+        [(SPIN_ONE, 10, 0), 10],
+        [(SPIN_THREE_HALVES, 6, 0), 9],
+        [(SPIN_TWO, 5, 0), 10],
+    ]
 
 
 @cache
