@@ -4,15 +4,13 @@ states, on the d^2 level pairs (m1, m2) of two d-level particles sorted by
 
     ud, 00, du, u0, 0u, 0d, d0, uu, dd        (u, 0, d: the m = +1, 0, -1 levels)
 
-Negativity is always evaluated with one eigensolve of the full partial
-transpose (which `symmetric_eigenvalues` splits along its exact zeros); for
-spin-1 Dicke pair reductions the iteration-free closed form
-(`dicke_pair_negativity`) is a second route that is validated against it,
-never trusted alone.  The pair reduction of an expansion of any species is
-the correlator `two_body_elements`; spin-1 Dicke pair reductions are also
-exact mixtures of the five two-particle J = 2 states
-(`dicke_pair_reduction`, O(1) in N).  The brute-force partial trace is the
-oracle for both.
+Negativity is always one eigensolve of the full partial transpose (which
+`symmetric_eigenvalues` splits along its exact zeros); at spin 1 the
+iteration-free closed form `dicke_pair_negativity` checks it for Dicke
+states.  The pair reduction of an expansion of any species is the
+correlator `two_body_elements`; a Dicke state's is also an exact Majorana
+mixture of two-particle J = 2s states (`dicke_pair_reduction`, O(1) in N,
+every species).  The brute-force partial trace is the oracle for both.
 """
 
 from __future__ import annotations
@@ -280,44 +278,56 @@ def dicke_two_particle_rdm(x: DickeExpansion) -> TwoQuditDensity:
     return _as_density(two_body_elements(x))
 
 
-def dicke_pair_weights(n_particles: int, twice_m: int) -> tuple[Fraction, ...]:
-    """Exact weights p_0..p_4 of the pair marginal of spin-1 |J = N, M>.
-
-    In the Majorana picture |J = N, M> is the qubit Dicke state of 2N qubits
-    with k = N - M excitations, so p_j is the hypergeometric chance that j
-    of them fall on the four qubits of two particles:
-    C(4, j) [k]_j [2N - k]_{4-j} / [2N]_4, from falling factorials [x]_j
-    rather than from C(2N, k), whose size grows with N.
-    """
-    from fractions import Fraction
-
-    check_domain(SPIN_ONE, n_particles, twice_m)
+def _pair_weights(species: SpinSpecies, n_particles: int, twice_m: int) -> tuple:
+    """The integer numerators of the weights p_0..p_4s of
+    `dicke_pair_weights`, and their common denominator [2sN]_{4s}."""
+    check_domain(species, n_particles, twice_m)
     if n_particles < 2:
         raise DomainError("pair reduction needs at least two particles")
-    q, k = 2 * n_particles, n_particles - twice_m // 2
-    return tuple(
-        Fraction(comb(4, j) * perm(k, j) * perm(q - k, 4 - j), perm(q, 4))
-        for j in range(5)
-    )
+    q, w = species.twice_spin * n_particles, 2 * species.twice_spin
+    k = (q - twice_m) // 2
+    numerators = (comb(w, j) * perm(k, j) * perm(q - k, w - j) for j in range(w + 1))
+    return tuple(numerators), perm(q, w)
 
 
-def dicke_pair_reduction(n_particles: int, twice_m: int) -> TwoQuditDensity:
-    """Two-particle reduced density matrix of the spin-1 Dicke state
-    |J = N, M>, exact and at a cost independent of N.
+def dicke_pair_weights(
+    species: SpinSpecies, n_particles: int, twice_m: int
+) -> tuple[Fraction, ...]:
+    """Exact weights p_0..p_4s of the pair marginal of |J = sN, M>: the
+    hypergeometric chance C(4s, j) [k]_j [2sN - k]_{4s-j} / [2sN]_{4s} that j
+    of the k = sN - M excitations of its Majorana picture, a qubit Dicke
+    state of 2sN qubits (Stockton et al., PRA 67, 022112, 2003), fall on the
+    4s qubits of two particles.  Falling factorials [x]_j, unlike C(2sN, k),
+    do not grow with N."""
+    from fractions import Fraction
 
-    The marginal is sum_j p_j |D_j><D_j| (`dicke_pair_weights`), where D_j,
-    the two-particle J = 2 state with j lowerings, has amplitude
-    sqrt(w_a w_b / C(4, j)) on ab, with level weights w = C(2, lowerings).
-    Entry (ab, cd) is p_j sqrt(w_a w_b w_c w_d) / C(4, j), whose root is an
-    integer: one exact rational rounded once.  `dicke_two_particle_rdm` and
-    `brute_force_rdm` are the routes it is tested against.
-    """
-    weights = dicke_pair_weights(n_particles, twice_m)
-    rho = [[0.0] * len(RHO_BASIS) for _ in RHO_BASIS]
-    for (i, j), (k, l), _, cells in _correlator_plan(SPIN_ONE):
-        p = weights[i + j]
-        root = isqrt(comb(2, i) * comb(2, j) * comb(2, k) * comb(2, l))
-        value = p.numerator * root / (p.denominator * comb(4, i + j))
+    numerators, denominator = _pair_weights(species, n_particles, twice_m)
+    return tuple(Fraction(a, denominator) for a in numerators)
+
+
+def dicke_pair_reduction(
+    species: SpinSpecies, n_particles: int, twice_m: int
+) -> TwoQuditDensity:
+    """Two-particle reduced density matrix of the Dicke state |J = sN, M>,
+    exact and at a cost independent of N: sum_j p_j |D_j><D_j|
+    (`dicke_pair_weights`), where D_j, the J = 2s pair state with j
+    lowerings, is sqrt(w_a w_b / C(4s, j)) on ab, w = C(2s, lowerings).
+    Entry (ab, cd) is p_j sqrt(W) / C(4s, j), W = w_a w_b w_c w_d: one exact
+    rational rounded once where W is a square (always at spins 1/2 and 1),
+    else the root of one.  Tested against `dicke_two_particle_rdm` and
+    `brute_force_rdm`."""
+    numerators, denominator = _pair_weights(species, n_particles, twice_m)
+    ts, size = species.twice_spin, len(pair_basis(species))
+    rho = [[0.0] * size for _ in range(size)]
+    for (i, j), (k, l), _, cells in _correlator_plan(species):
+        square = comb(ts, i) * comb(ts, j) * comb(ts, k) * comb(ts, l)
+        root, scale = isqrt(square), denominator * comb(2 * ts, i + j)
+        if root * root == square:
+            value = numerators[i + j] * root / scale
+        else:
+            from .coefficients import _root
+
+            value = _root(numerators[i + j] ** 2 * square, scale * scale)
         for r, c in cells:
             rho[r][c] = value
     return _as_density(rho)
@@ -333,7 +343,7 @@ def _smaller_root(s: float, c: float) -> float:
 def dicke_pair_negativity(n_particles: int, twice_m: int) -> float:
     """Pair negativity of the spin-1 Dicke state |J = N, M> in closed form,
     with no iteration: the second route to
-    `negativity(dicke_pair_reduction(n_particles, twice_m)).value`.
+    `negativity(dicke_pair_reduction(SPIN_ONE, n_particles, twice_m)).value`.
 
     With the weights p_j of `dicke_pair_weights`, the partial transpose
     splits into T1 = [[p0, p1/2, p2/6], [p1/2, 2p2/3, p3/2],
@@ -348,7 +358,7 @@ def dicke_pair_negativity(n_particles: int, twice_m: int) -> float:
     coincide at large N; the quadratic's coefficients come from the exact
     invariants of T1 by Vieta, so the result keeps its relative precision.
     """
-    p0, p1, p2, p3, p4 = dicke_pair_weights(n_particles, twice_m)
+    p0, p1, p2, p3, p4 = dicke_pair_weights(SPIN_ONE, n_particles, twice_m)
     pair = _smaller_root(float((p1 + p3) / 2), float(p1 * p3 / 4 - p2 * p2 / 9))
     a, b, c, d, e, f = p0, p1 / 2, p2 / 6, 2 * p2 / 3, p3 / 2, p4
     trace = a + d + f
@@ -423,7 +433,7 @@ def family_pair_reduction(
     """Pair reduction of the spin-1 member of a sweep family at (N, M): the
     exact mixture for "dicke", the correlator of the expansion for "equal"."""
     if family == "dicke":
-        return dicke_pair_reduction(n_particles, twice_m)
+        return dicke_pair_reduction(SPIN_ONE, n_particles, twice_m)
     if family == "equal":
         x = equal_probability_expansion(SPIN_ONE, n_particles, twice_m)
         return dicke_two_particle_rdm(x)

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .coefficients import dicke_expansion
 from .ladder import _chain, _finish
-from .species import SpinSpecies, parse_twice
+from .species import SpinSpecies, check_domain, parse_twice
 
 TABLE_TOLERANCE = 5e-5
 DATA_PACKAGE = "dicke.data"
@@ -63,7 +63,8 @@ class TableReport:
 
 def load_reference_rows() -> list[TableRow]:
     """Parse the bundled CSV.  FileNotFoundError if the data file is
-    absent, OSError if its header is not `_HEADER` or a row does not parse."""
+    absent, OSError if its header is not `_HEADER` or a row does not parse
+    or names an (N, M) outside its species' domain."""
     import csv
 
     path = resources.files(DATA_PACKAGE).joinpath(DATA_FILENAME)
@@ -76,19 +77,15 @@ def load_reference_rows() -> list[TableRow]:
             header = next(reader, [])
             if header != _HEADER:
                 raise ValueError(f"header {header} is not {_HEADER}")
-            return [
-                TableRow(
-                    table,
-                    species_of(spin),
-                    int(n),
-                    parse_twice(m),
-                    tuple(map(int, occ.split())),
-                    float(coefficient),
-                    status,
-                    printed,
+            rows = []
+            for table, spin, n, m, occ, coefficient, status, printed in reader:
+                row = TableRow(
+                    table, species_of(spin), int(n), parse_twice(m),
+                    tuple(map(int, occ.split())), float(coefficient), status, printed,
                 )
-                for table, spin, n, m, occ, coefficient, status, printed in reader
-            ]
+                check_domain(row.species, row.n_particles, row.twice_m)
+                rows.append(row)
+            return rows
         except (ValueError, csv.Error) as exc:
             raise OSError(
                 f"malformed reference table data: {path}, line {reader.line_num}: {exc}"
@@ -108,7 +105,7 @@ def verify_tables() -> list[TableReport]:
     expansions: dict[tuple, dict] = {}
     oracles: dict[tuple, dict] = {}
     for (species, n), twice_ms in per_chain.items():
-        for tm in twice_ms:  # checks every M's domain before the chain runs
+        for tm in twice_ms:
             expansions[species, n, tm] = dicke_expansion(species, n, tm).as_dict()
         for tm, raw, divisor in _chain(species, n, min(twice_ms)):
             if tm in twice_ms:

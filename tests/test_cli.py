@@ -444,6 +444,14 @@ def _reference_data(tmp_path, monkeypatch, edit):
     )
 
 
+def _cell(line, column, value):
+    """An edit that sets one cell of the 1-based CSV `line` to `value`."""
+    return lambda rows: [
+        r[:column] + [value] + r[column + 1 :] if i == line else r
+        for i, r in enumerate(rows, 1)
+    ]
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -457,6 +465,9 @@ def _reference_data(tmp_path, monkeypatch, edit):
         (lambda rows: rows[:5] + [rows[5] + ["x"]] + rows[6:], "line 6"),
         (lambda rows: rows[:2] + [["table1", "1", "ten"] + rows[2][3:]], "line 3"),
         (lambda rows: rows + [rows[1][:1] + ["5/2"] + rows[1][2:]], "unknown spin"),
+        (_cell(3, 3, "19/2"), "line 3: magnetization 2M=19 has the wrong parity"),
+        (_cell(5, 3, "11"), "line 5: magnetization out of range"),
+        (_cell(3, 2, "0"), "line 3: need at least one particle"),
     ],
     ids=[
         "reordered-header",
@@ -467,6 +478,9 @@ def _reference_data(tmp_path, monkeypatch, edit):
         "long-row",
         "bad-n",
         "bad-spin",
+        "wrong-parity",
+        "m-out-of-range",
+        "no-particles",
     ],
 )
 def test_verify_tables_malformed_data_exits_3(

@@ -2,7 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb, perm, sqrt
+from math import comb, sqrt
 
 import pytest
 
@@ -36,7 +36,6 @@ from dicke.entanglement import (
     dicke_pair_weights,
     family_pair_reduction,
     has_pair_reduction_block_structure,
-    pair_basis,
     random_pure_state,
     sweep_shape_violations,
 )
@@ -235,20 +234,26 @@ def test_rdm_matches_brute_force_for_all_m(n):
                 assert max_entry_difference(fast, slow) <= 1e-10
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_mixture_route_matches_both_oracles(n):
-    for tm in range(-2 * n, 2 * n + 1, 2):
-        expansion = dicke_expansion(SPIN_ONE, n, tm)
-        mixture = dicke_pair_reduction(n, tm)
-        assert max_entry_difference(mixture, dicke_two_particle_rdm(expansion)) <= 1e-15
-        assert max_entry_difference(mixture, brute_force_rdm(expansion)) <= 1e-10
+    """The Majorana mixture of every species against the correlator and,
+    up to N = 6, the brute-force partial trace, at every M."""
+    for species in ALL_SPECIES:
+        ts = species.twice_spin
+        for tm in range(-ts * n, ts * n + 1, 2):
+            expansion = dicke_expansion(species, n, tm)
+            rho = dicke_pair_reduction(species, n, tm)
+            assert max_entry_difference(rho, dicke_two_particle_rdm(expansion)) <= 1e-15
+            if n <= 6:
+                assert max_entry_difference(rho, brute_force_rdm(expansion)) <= 1e-10
 
 
 def test_mixture_and_moment_routes_agree_up_to_n80():
     for n in range(2, 81):
         for tm in range(-2 * n, 2 * n + 1, 2):
             moments = dicke_two_particle_rdm(dicke_expansion(SPIN_ONE, n, tm))
-            assert max_entry_difference(dicke_pair_reduction(n, tm), moments) <= 1e-15
+            mixture = dicke_pair_reduction(SPIN_ONE, n, tm)
+            assert max_entry_difference(mixture, moments) <= 1e-15
 
 
 #: the spin-1 pair basis: ud, 00, du, u0, 0u, 0d, d0, uu, dd
@@ -276,37 +281,49 @@ def test_dicke_pair_reductions_and_negativities_are_pinned():
     digest = hashlib.sha256()
     for n in range(2, 81):
         for tm in range(-2 * n, 2 * n + 1, 2):
-            rho = dicke_pair_reduction(n, tm)
+            rho = dicke_pair_reduction(SPIN_ONE, n, tm)
             digest.update(repr(rho.entries).encode())
             digest.update(repr(negativity(rho).value).encode())
     assert digest.hexdigest() == DICKE_PAIR_DIGEST
 
 
 def test_falling_factorial_weights_are_the_hypergeometric_law():
-    for n in range(2, 12):
-        for tm in range(-2 * n, 2 * n + 1, 2):
-            k = n - tm // 2
-            weights = dicke_pair_weights(n, tm)
-            assert weights == tuple(
-                Fraction(comb(4, j) * comb(2 * n - 4, k - j), comb(2 * n, k))
-                if 0 <= k - j <= 2 * n - 4
-                else Fraction(0)
-                for j in range(5)
-            )
-            assert sum(weights) == 1
+    for species in ALL_SPECIES:
+        ts = species.twice_spin
+        for n in range(2, 12):
+            q = ts * n
+            for tm in range(-q, q + 1, 2):
+                k = (q - tm) // 2
+                weights = dicke_pair_weights(species, n, tm)
+                assert weights == tuple(
+                    Fraction(comb(2 * ts, j) * comb(q - 2 * ts, k - j), comb(q, k))
+                    if 0 <= k - j <= q - 2 * ts
+                    else Fraction(0)
+                    for j in range(2 * ts + 1)
+                )
+                assert sum(weights) == 1
 
 
-def test_mixture_route_at_a_million_particles():
+def test_mixture_route_at_a_million_particles(monkeypatch):
+    import dicke.basis
+    import dicke.coefficients
+
+    def refuse(*args):
+        raise AssertionError("an expansion was built")
+
+    monkeypatch.setattr(dicke.basis, "enumerate_basis", refuse)
+    monkeypatch.setattr(dicke.coefficients, "dicke_expansion", refuse)
     n = 10**6
-    rho = dicke_pair_reduction(n, 0)
-    rho.validate()
-    assert abs(n * negativity(rho).value - 0.5) < 1e-3
+    for species in ALL_SPECIES:
+        rho = dicke_pair_reduction(species, n, 0)
+        rho.validate()
+        assert abs(n * negativity(rho).value - 0.5) < 1e-5
 
 
 @pytest.mark.parametrize("n, tm", [(0, 0), (1, 0), (3, 8), (3, 1), (-2, 0)])
 def test_mixture_route_rejects_states_without_a_pair(n, tm):
     with pytest.raises(DomainError):
-        dicke_pair_reduction(n, tm)
+        dicke_pair_reduction(SPIN_ONE, n, tm)
     with pytest.raises(DomainError):
         dicke_pair_negativity(n, tm)
 
@@ -314,36 +331,6 @@ def test_mixture_route_rejects_states_without_a_pair(n, tm):
 def test_brute_force_rdm_rejects_large_systems():
     with pytest.raises(DomainError):
         brute_force_rdm(dicke_expansion(SPIN_ONE, 7, 0))
-
-
-def majorana_mixture(species, n, tm):
-    """sum_j p_j |D_j><D_j| in pair_basis order: D_j is the two-particle
-    J = 2s state with j lowerings and p_j = C(4s, j) [k]_j [2sN - k]_{4s-j}
-    / [2sN]_{4s}, k = sN - M (Stockton et al., PRA 67, 022112, 2003)."""
-    ts = species.twice_spin
-    q, k = ts * n, (ts * n - tm) // 2
-    basis = pair_basis(species)
-    rho = [[0.0] * len(basis) for _ in basis]
-    for j in range(2 * ts + 1):
-        p = float(
-            Fraction(comb(2 * ts, j) * perm(k, j) * perm(q - k, 2 * ts - j), perm(q, 2 * ts))
-        )
-        pair = symmetric_two_particle_state(dicke_expansion(species, 2, 2 * (ts - j)))
-        amps = dict(pair.terms)
-        vec = [amps.get(ab, 0.0) for ab in basis]
-        for r, a in enumerate(vec):
-            for c, b in enumerate(vec):
-                rho[r][c] += p * a * b
-    return TwoQuditDensity(tuple(map(tuple, rho)))
-
-
-@pytest.mark.parametrize("species", [SPIN_THREE_HALVES, SPIN_TWO], ids=lambda s: s.name)
-def test_correlator_matches_the_majorana_mixture_beyond_spin_one(species):
-    for n in range(2, 9):
-        ts = species.twice_spin
-        for tm in range(-ts * n, ts * n + 1, 2):
-            rho = dicke_two_particle_rdm(dicke_expansion(species, n, tm))
-            assert max_entry_difference(rho, majorana_mixture(species, n, tm)) <= 1e-15
 
 
 def test_pair_negativity_at_n30_m0_for_each_integer_and_half_integer_spin():
@@ -373,7 +360,7 @@ def test_block_structure_and_symmetries_of_the_rdm():
 
 
 def test_block_structure_is_conservation_of_total_m():
-    rho = dicke_pair_reduction(6, 2)
+    rho = dicke_pair_reduction(SPIN_ONE, 6, 2)
     total = [a + b for a, b in RHO_BASIS]
     tol = 1e-12
     for i in range(9):
@@ -393,7 +380,7 @@ def test_block_structure_is_conservation_of_total_m():
 def closed_form_blocks(n, tm):
     """The blocks of the partial transpose that `dicke_pair_negativity`
     reads, on RHO_BASIS indices, rounded as `dicke_pair_reduction` rounds."""
-    p0, p1, p2, p3, p4 = dicke_pair_weights(n, tm)
+    p0, p1, p2, p3, p4 = dicke_pair_weights(SPIN_ONE, n, tm)
     uu, zz, dd = (RHO_BASIS.index(pair) for pair in ((2, 2), (0, 0), (-2, -2)))
     t1 = [[p0, p1 / 2, p2 / 6], [p1 / 2, 2 * p2 / 3, p3 / 2], [p2 / 6, p3 / 2, p4]]
     pair = [[p1 / 2, p2 / 3], [p2 / 3, p3 / 2]]
@@ -407,7 +394,7 @@ def closed_form_blocks(n, tm):
 
 @pytest.mark.parametrize("n, tm", [(2, 0), (2, 2), (6, 2), (9, -8), (80, 10)])
 def test_partial_transpose_splits_into_the_closed_form_blocks(n, tm):
-    pt = partial_transpose(dicke_pair_reduction(n, tm))
+    pt = partial_transpose(dicke_pair_reduction(SPIN_ONE, n, tm))
     expected = [[0.0] * 9 for _ in range(9)]
     for idx, block in closed_form_blocks(n, tm):
         for r, i in enumerate(idx):
@@ -420,7 +407,7 @@ def test_closed_form_agrees_with_full_diagonalization():
     points = [(n, tm) for n in range(2, 81) for tm in range(0, 2 * n + 1, 2)]
     points += [(2400, tm) for tm in (*range(0, 4801, 38), 4796, 4798, 4800)]
     for n, tm in points:
-        full = negativity(dicke_pair_reduction(n, tm)).value
+        full = negativity(dicke_pair_reduction(SPIN_ONE, n, tm)).value
         value = dicke_pair_negativity(n, tm)
         assert abs(value - full) <= 1e-12
         assert (value > 0) == (tm < 2 * n)
@@ -429,7 +416,7 @@ def test_closed_form_agrees_with_full_diagonalization():
 @pytest.mark.parametrize("n", [10**4, 10**5, 10**6])
 def test_closed_form_agrees_with_full_diagonalization_at_large_n(n):
     for m in (0, 1, n // 3, n - 2, n - 1, n):
-        full = negativity(dicke_pair_reduction(n, 2 * m)).value
+        full = negativity(dicke_pair_reduction(SPIN_ONE, n, 2 * m)).value
         assert abs(dicke_pair_negativity(n, 2 * m) - full) <= 1e-12
 
 
@@ -485,7 +472,7 @@ def smallest_root(coefficients, steps=110):
 @pytest.mark.parametrize("n", [3, 10, 80, 10**4, 10**6])
 def test_closed_form_keeps_its_relative_precision(n):
     for m in (0, 1, n // 3, n - 2, n - 1):
-        p0, p1, p2, p3, p4 = dicke_pair_weights(n, 2 * m)
+        p0, p1, p2, p3, p4 = dicke_pair_weights(SPIN_ONE, n, 2 * m)
         trace, minors, det = t1_invariants(p0, p1, p2, p3, p4)
         pair = smallest_root([1, -(p1 + p3) / 2, p1 * p3 / 4 - p2 * p2 / 9])
         exact = -smallest_root([1, -trace, minors, -det]) - 2 * pair
@@ -500,7 +487,7 @@ def test_exact_positivity_statement():
     large.append((million, -2 * (million - 1)))
     grid = [(n, tm) for n in range(2, 60) for tm in range(-2 * n, 2 * n + 1, 2)]
     for n, tm in grid + large:
-        p0, p1, p2, p3, p4 = dicke_pair_weights(n, tm)
+        p0, p1, p2, p3, p4 = dicke_pair_weights(SPIN_ONE, n, tm)
         q, k = 2 * n, n - tm // 2
         closed = Fraction(
             -144 * k**2 * (q - k) ** 2 * (k - 1) * (q - k - 1),
@@ -612,7 +599,7 @@ def test_sweep_rejects_too_few_particles(monkeypatch):
 
 
 def test_family_pair_reduction_builds_each_family():
-    assert family_pair_reduction("dicke", 6, 2) == dicke_pair_reduction(6, 2)
+    assert family_pair_reduction("dicke", 6, 2) == dicke_pair_reduction(SPIN_ONE, 6, 2)
     assert family_pair_reduction("equal", 6, 2) == dicke_two_particle_rdm(
         equal_probability_expansion(SPIN_ONE, 6, 2)
     )

@@ -64,11 +64,16 @@ def test_named_pure_state_loads_only_its_layers():
 
 
 def test_dicke_family_sweep_loads_no_basis_layer():
-    package, loaded = loaded_by("negativity", "--state", "dicke", "--n", "80", "--sweep")
-    assert package == {
-        "dicke", "dicke.cli", "dicke.species", "dicke.linalg", "dicke.entanglement",
-    }
-    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "json"}
+    """The spin-1 mixture builds its floats from integers: no fractions."""
+    for argv in (["--sweep"], ["--m", "0"]):
+        package, loaded = loaded_by("negativity", "--state", "dicke", "--n", "80", *argv)
+        assert package == {
+            "dicke", "dicke.cli", "dicke.species", "dicke.linalg", "dicke.entanglement",
+        }
+        assert not loaded & {
+            "dataclasses", "inspect", "ast", "dis", "tokenize", "json", "fractions",
+            "decimal",
+        }
 
 
 def test_plot_loads_no_entanglement_layer(tmp_path):
