@@ -12,7 +12,7 @@ States are kept fully expanded in first quantization; n <= 5 means at most
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, permutations
 from math import factorial, sqrt
 
@@ -25,12 +25,10 @@ Assignment = tuple[int, ...]  # per-particle twice-m values
 ANTISYMMETRY_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class FirstQuantizedState:
+class FirstQuantizedState(namedtuple("FirstQuantizedState", "n_particles terms")):
     """A few-particle state as explicit (level assignment, amplitude) terms."""
 
-    n_particles: int
-    terms: tuple[tuple[Assignment, float], ...]
+    __slots__ = ()
 
     def as_dict(self) -> dict[Assignment, float]:
         return dict(self.terms)

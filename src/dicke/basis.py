@@ -19,10 +19,13 @@ and flags disagreements; see VALIDATION.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from collections import namedtuple
 
 from .species import DomainError, SpinSpecies, check_domain  # re-exported
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterator
 
 OccupationVector = tuple[int, ...]
 Run = tuple[tuple[int, ...], int, int, int, int]
@@ -135,8 +138,12 @@ def mirror(occ: OccupationVector) -> OccupationVector:
     return tuple(reversed(occ))
 
 
-@dataclass(frozen=True)
-class EnumerationParams:
+class EnumerationParams(
+    namedtuple(
+        "EnumerationParams",
+        "species n_particles twice_m parity_min k0 k_max sign alpha gamma beta mk",
+    )
+):
     """Bound parameters of the closed-form basis parametrization.
 
     Not every field applies to every spin: `mk`, `gamma` and `beta` exist
@@ -145,19 +152,10 @@ class EnumerationParams:
     factor multiplying gamma in the level-difference constraint (+1 for
     M >= 0, -1 for M < 0; the M = 0 exponent is indeterminate and pinned
     to +1 so both signs of the difference arise as gamma changes sign).
+    `alpha` is None and the three dicts are empty for spin 1/2 and spin 1.
     """
 
-    species: SpinSpecies
-    n_particles: int
-    twice_m: int
-    parity_min: int
-    k0: int
-    k_max: int
-    sign: int
-    alpha: int | None = None
-    gamma: dict[int, int] = field(default_factory=dict)
-    beta: dict[int, int] = field(default_factory=dict)
-    mk: dict[int, int] = field(default_factory=dict)
+    __slots__ = ()
 
 
 def enumeration_bounds(
@@ -180,7 +178,7 @@ def enumeration_bounds(
         # spin-1/2 has a unique solution; spin-1 uses n_0 = parity_min + 2k.
         k_max = 0 if ts == 1 else (j_minus_m - parity_min) // 2
         return EnumerationParams(
-            species, n_particles, twice_m, parity_min, 0, k_max, sign
+            species, n_particles, twice_m, parity_min, 0, k_max, sign, None, {}, {}, {}
         )
 
     if ts == 3:

@@ -419,7 +419,10 @@ def _cmd_plot(args) -> int:
         (label, [(_parse_number(row[0]), _parse_number(row[k])) for row in records])
         for k, label in enumerate(header[1:], start=1)
     ]
-    svg.write_chart(args.output, series, x_label=header[0])
+    try:
+        svg.write_chart(args.output, series, x_label=header[0])
+    except ValueError as exc:
+        raise DomainError(f"{args.input}: {exc}") from None
     return 0
 
 

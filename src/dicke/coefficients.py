@@ -33,19 +33,19 @@ reference tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
+from collections import namedtuple
 from itertools import repeat
 from math import comb, factorial, ldexp, sqrt
 from operator import mul, truediv
 from sys import float_info
-from typing import Callable, TypeVar
 
 from .basis import OccupationVector, _runs, enumerate_basis
 from .species import DomainError, SpinSpecies, check_domain
 
-V = TypeVar("V")
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable
+    from fractions import Fraction
 
 #: bits of precision kept in the scaled quotient whose square root `_root` takes
 _ROOT_BITS = 120
@@ -85,6 +85,8 @@ def coefficient_square(
     species: SpinSpecies, n_particles: int, twice_m: int, occ: OccupationVector
 ) -> Fraction:
     """Exact squared closed-form coefficient of one occupation vector."""
+    from fractions import Fraction
+
     check_domain(species, n_particles, twice_m)
     if (
         len(occ) != species.n_levels
@@ -113,8 +115,8 @@ def closed_form_coefficient(
 
 
 def _walk(
-    species: SpinSpecies, n_particles: int, twice_m: int, value: Callable[[int, int], V]
-) -> tuple[list[OccupationVector], list[V]]:
+    species: SpinSpecies, n_particles: int, twice_m: int, value: Callable
+) -> tuple[list[OccupationVector], list]:
     """The basis and value(P, D) for each vector, where C^2 = P / D (1 / 1
     for spin 1/2); raises ArithmeticError unless the P sum to D.  A run
     prefix + (x - k, y + 2k, z - k) starts at P = prod_m binomial(r_m, n_m)
@@ -156,28 +158,22 @@ def _amplitude(p: int, d: int) -> float:
     return sqrt(r) if r > float_info.min else _root(p, d)
 
 
-@dataclass(frozen=True)
-class DickeExpansion:
+class DickeExpansion(
+    namedtuple("DickeExpansion", "species n_particles twice_m terms")
+):
     """A fixed-(N, M) symmetric state written in the occupation basis.
 
     `terms` pairs every basis occupation vector with a real positive
     amplitude; amplitudes are normalized so the squares sum to 1.
     """
 
-    species: SpinSpecies
-    n_particles: int
-    twice_m: int
-    terms: tuple[tuple[OccupationVector, float], ...]
+    __slots__ = ()
 
     def as_dict(self) -> dict[OccupationVector, float]:
         return dict(self.terms)
 
-    @cached_property
-    def _amplitudes(self) -> dict[OccupationVector, float]:
-        return dict(self.terms)
-
     def amplitude(self, occ: OccupationVector) -> float:
-        return self._amplitudes.get(occ, 0.0)
+        return self.as_dict().get(occ, 0.0)
 
     def norm_square(self) -> float:
         return sum(a * a for _, a in self.terms)
@@ -201,4 +197,6 @@ def exact_coefficient_squares(
     species: SpinSpecies, n_particles: int, twice_m: int
 ) -> dict[OccupationVector, Fraction]:
     """Squared amplitudes of the full expansion as exact rationals."""
+    from fractions import Fraction
+
     return dict(zip(*_walk(species, n_particles, twice_m, Fraction)))

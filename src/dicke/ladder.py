@@ -44,28 +44,29 @@ coefficients with no square root taken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import cache
 from itertools import accumulate
 from math import factorial, sqrt
 from operator import lshift, mul
-from typing import Iterator
 
 from .basis import OccupationVector, lowering_depth_sizes
 from .coefficients import DickeExpansion
 from .species import DomainError, SpinSpecies, check_domain
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterator
+    from fractions import Fraction
+
 PRUNE_THRESHOLD = 1e-14
 
 
-@dataclass
-class RawExpansion:
-    """Unnormalized occupation-basis expansion (may hold zero amplitudes)."""
+class RawExpansion(namedtuple("RawExpansion", "species n_particles terms")):
+    """Unnormalized occupation-basis expansion (may hold zero amplitudes);
+    `terms` is a dict from occupation vector to amplitude."""
 
-    species: SpinSpecies
-    n_particles: int
-    terms: dict[OccupationVector, float]
+    __slots__ = ()
 
 
 def highest_weight(species: SpinSpecies, n_particles: int) -> DickeExpansion:
@@ -307,6 +308,8 @@ def oracle_squares_exact(
     F_i = prod_{k<i} f2_k.  Certifies the closed-form engine without any
     floating point.
     """
+    from fractions import Fraction
+
     check_domain(species, n_particles, twice_m)
     width = n_particles.bit_length()
     mask = (1 << width) - 1

@@ -7,6 +7,7 @@ parsing obligations and no styling beyond what keeps the chart readable.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from math import inf
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_LEFT, MARGIN_RIGHT = 70, 20
@@ -17,6 +18,7 @@ PALETTE = (
 )
 
 Series = Sequence[tuple[float, float]]
+_ESCAPE = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _fmt(value: float) -> str:
@@ -29,7 +31,8 @@ def polyline_chart(
     x_label: str = "",
     y_label: str = "",
 ) -> str:
-    """Render labelled (x, y) series as a complete SVG document string."""
+    """Render labelled (x, y) series as a complete SVG document string;
+    ValueError if there is nothing to plot or a range is not finite."""
     points = [p for _, pts in series for p in pts]
     if not points:
         raise ValueError("nothing to plot")
@@ -41,6 +44,10 @@ def polyline_chart(
         x_max = x_min + 1.0
     if y_max == y_min:
         y_max = y_min + 1.0
+    if not 0 < x_max - x_min < inf:
+        raise ValueError(f"column {x_label!r} spans no finite x range")
+    if not 0 < y_max - y_min < inf:
+        raise ValueError(f"columns {[k for k, _ in series]} span no finite y range")
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
@@ -60,7 +67,7 @@ def polyline_chart(
     if title:
         parts.append(
             f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
+            f'font-family="sans-serif" font-size="14">{title.translate(_ESCAPE)}</text>'
         )
     # axes
     x0, y0 = sx(x_min), sy(y_min)
@@ -89,14 +96,14 @@ def polyline_chart(
         parts.append(
             f'<text x="{(MARGIN_LEFT + WIDTH - MARGIN_RIGHT) / 2:.1f}" '
             f'y="{HEIGHT - 12}" text-anchor="middle" font-family="sans-serif" '
-            f'font-size="12">{x_label}</text>'
+            f'font-size="12">{x_label.translate(_ESCAPE)}</text>'
         )
     if y_label:
         parts.append(
             f'<text x="14" y="{(MARGIN_TOP + HEIGHT - MARGIN_BOTTOM) / 2:.1f}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="12" '
             f'transform="rotate(-90 14 {(MARGIN_TOP + HEIGHT - MARGIN_BOTTOM) / 2:.1f})"'
-            f'>{y_label}</text>'
+            f'>{y_label.translate(_ESCAPE)}</text>'
         )
     for k, (label, pts) in enumerate(series):
         color = PALETTE[k % len(PALETTE)]
@@ -112,7 +119,7 @@ def polyline_chart(
         )
         parts.append(
             f'<text x="{WIDTH - 125}" y="{legend_y}" font-family="sans-serif" '
-            f'font-size="11">{label}</text>'
+            f'font-size="11">{label.translate(_ESCAPE)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -16,10 +16,9 @@ rows, and one walk serves every M on its way.  The CSV is read with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from importlib import resources
-from typing import NamedTuple
 
 from .coefficients import dicke_expansion
 from .ladder import _chain, _finish
@@ -30,28 +29,29 @@ DATA_PACKAGE = "dicke.data"
 DATA_FILENAME = "reference_tables.csv"
 
 
-class TableRow(NamedTuple):
-    table: str
-    species: SpinSpecies
-    n_particles: int
-    twice_m: int
-    occupation: tuple[int, ...]
-    coefficient: float
-    status: str  # ok | corrected | duplicate
-    printed: str  # original cell content for corrected rows
+class TableRow(
+    namedtuple(
+        "TableRow",
+        "table species n_particles twice_m occupation coefficient status printed",
+    )
+):
+    """One data row; `status` is ok, corrected or duplicate, and `printed`
+    keeps the original cell of a corrected row."""
+
+    __slots__ = ()
 
 
 #: the data file's header row, the columns of `TableRow` in its order
 _HEADER = ["table", "spin", "n", "m", "occupation", "coefficient", "status", "printed"]
 
 
-@dataclass(frozen=True)
-class TableReport:
-    table: str
-    rows: int
-    corrected_rows: int
-    max_dev_closed_form: float
-    max_dev_oracle: float
+class TableReport(
+    namedtuple(
+        "TableReport",
+        "table rows corrected_rows max_dev_closed_form max_dev_oracle",
+    )
+):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -883,6 +883,22 @@ def test_chart_of_one_x_value_and_a_flat_y_gets_unit_axes():
     assert line.get("points") == f"{MARGIN_LEFT:.2f},{HEIGHT - MARGIN_BOTTOM:.2f}"
 
 
+def test_chart_of_negative_values_runs_from_the_lowest_to_the_highest():
+    from dicke.svg import (
+        HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH,
+        polyline_chart,
+    )
+
+    root = ET.fromstring(polyline_chart([("below", [(0.0, -2.0), (1.0, -1.0)])]))
+    labels = [e.text for e in root.iter() if e.tag.endswith("text")]
+    assert labels == ["0", "1", "-2", "-1", "below"]
+    (line,) = [e for e in root.iter() if e.tag.endswith("polyline")]
+    assert line.get("points") == (
+        f"{MARGIN_LEFT:.2f},{HEIGHT - MARGIN_BOTTOM:.2f} "
+        f"{WIDTH - MARGIN_RIGHT:.2f},{MARGIN_TOP:.2f}"
+    )
+
+
 def test_plot_input_that_is_not_utf8_exits_2(tmp_path, capsys):
     source = tmp_path / "latin1.csv"
     source.write_bytes(b"M,negativity\n0,\xff\xfe\n")
@@ -902,6 +918,48 @@ def test_plot_non_finite_value_exits_2(cell, tmp_path, capsys):
     assert code == 2
     assert "finite" in err
     assert not out_svg.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("M,a\n0,1e308\n1,-1e308\n", "columns ['a'] span no finite y range"),
+        ("M,a,b\n0,1e308,0\n1,0,-1e308\n", "columns ['a', 'b'] span no finite y range"),
+        ("M,a\n-1e308,0\n1e308,1\n", "column 'M' spans no finite x range"),
+        # x + 1 == x: the unit range of a single x value is empty
+        ("M,a\n1e17,0.5\n", "column 'M' spans no finite x range"),
+        ("M,a\n0,-1e17\n", "columns ['a'] span no finite y range"),
+    ],
+    ids=["y", "y-of-two-columns", "x", "x-plus-1", "y-plus-1"],
+)
+def test_plot_range_past_a_float_exits_2(text, message, tmp_path, capsys):
+    source = tmp_path / "huge.csv"
+    source.write_text(text, encoding="utf-8")
+    out_svg = tmp_path / "huge.svg"
+    code, out, err = run(["plot", "--in", str(source), "--out", str(out_svg)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {source}: {message}\n"
+    assert not out_svg.exists()
+
+
+def test_plot_escapes_markup_in_column_names(tmp_path, capsys):
+    source = tmp_path / "markup.csv"
+    source.write_text("x<y,a<b&c\n0,1\n1/2,2\n", encoding="utf-8")
+    out_svg = tmp_path / "markup.svg"
+    code, _, _ = run(["plot", "--in", str(source), "--out", str(out_svg)], capsys)
+    assert code == 0
+    texts = [e.text for e in ET.parse(out_svg).iter() if e.tag.endswith("text")]
+    assert texts[-2:] == ["x<y", "a<b&c"]
+
+
+def test_chart_escapes_markup_and_refuses_an_infinite_range():
+    from dicke.svg import polyline_chart
+
+    chart = polyline_chart([("s>1", [(0.0, 1.0)])], "<&>", "x&", "y<")
+    texts = [e.text for e in ET.fromstring(chart).iter() if e.tag.endswith("text")]
+    assert texts == ["<&>", "0", "1", "0", "1", "x&", "y<", "s>1"]
+    with pytest.raises(ValueError, match="span no finite y range"):
+        polyline_chart([("s", [(0.0, 1e308), (1.0, -1e308)])])
 
 
 def test_plot_cell_past_the_csv_field_limit_exits_2(tmp_path, capsys):

@@ -1,6 +1,6 @@
-"""The lazy package namespace, and the modules each command loads in a
-fresh interpreter (pytest has already imported most of the package, so
-the budget is read in a subprocess)."""
+"""The lazy package namespace, the record types, and the modules each
+command loads in a fresh interpreter (pytest has already imported most of
+the package, so the budget is read in a subprocess)."""
 
 import os
 import pkgutil
@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import dicke
+from dicke.species import SPIN_ONE
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = SRC.parent / "perfbench" / "golden"
@@ -33,11 +34,25 @@ sys.exit(code)
 """
 
 
-def loaded_by(*argv):
+#: the first spin-2 Majorana-mixture reduction after the entanglement layer
+PAIR_CHILD = """
+import sys
+from dicke.entanglement import dicke_pair_reduction
+from dicke.species import SPIN_TWO
+before = set(sys.modules)
+dicke_pair_reduction(SPIN_TWO, 80, 0)
+sys.stderr.write(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+#: what the standard library's record and rational machinery loads
+HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal"}
+
+
+def loaded_by(*argv, child=CHILD):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, *argv],
+        [sys.executable, "-c", child, *argv],
         env=env,
         stdin=subprocess.DEVNULL,
         capture_output=True,
@@ -76,6 +91,31 @@ def test_dicke_family_sweep_loads_no_basis_layer():
         }
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["basis", "--spin", "3/2", "--n", "6", "--m", "0"],
+        ["expand", "--spin", "2", "--n", "5", "--m", "1"],
+        ["oracle", "--spin", "1", "--n", "10", "--m", "0", "--diff-closed-form"],
+        ["verify-tables"],
+        ["antisym", "--spin", "2"],
+        ["negativity", "--state", "equal", "--n", "20", "--m", "0"],
+        ["figures", "--out-dir", "{tmp}"],
+        ["plot", "--in", str(GOLDEN / "fig2_n30.csv"), "--out", "{tmp}/x.svg"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_no_command_loads_dataclasses_or_fractions(argv, tmp_path):
+    _, loaded = loaded_by(*(a.format(tmp=tmp_path) for a in argv))
+    assert not loaded & HEAVY
+
+
+def test_first_spin_two_pair_reduction_loads_only_its_two_layers():
+    package, loaded = loaded_by(child=PAIR_CHILD)
+    assert package == {"dicke.basis", "dicke.coefficients"}
+    assert not loaded & HEAVY
+
+
 def test_plot_loads_no_entanglement_layer(tmp_path):
     package, _ = loaded_by(
         "plot", "--in", str(GOLDEN / "fig2_n30.csv"), "--out", str(tmp_path / "x.svg")
@@ -111,3 +151,49 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         dicke.no_such_name
     assert not hasattr(dicke, "__no_such_dunder__")
+
+
+#: each record type: its module, its fields in order, and sample values
+RECORDS = {
+    "EnumerationParams": (
+        "basis",
+        "species n_particles twice_m parity_min k0 k_max sign alpha gamma beta mk",
+        (SPIN_ONE, 4, 0, 0, 0, 2, 1, None, {}, {}, {}),
+    ),
+    "DickeExpansion": (
+        "coefficients",
+        "species n_particles twice_m terms",
+        (SPIN_ONE, 2, 0, (((1, 0, 1), 0.5),)),
+    ),
+    "RawExpansion": ("ladder", "species n_particles terms", (SPIN_ONE, 2, {})),
+    "TableRow": (
+        "tables",
+        "table species n_particles twice_m occupation coefficient status printed",
+        ("t", SPIN_ONE, 10, 0, (1, 8, 1), 0.5, "ok", ""),
+    ),
+    "TableReport": (
+        "tables",
+        "table rows corrected_rows max_dev_closed_form max_dev_oracle",
+        ("t", 3, 0, 0.0, 0.0),
+    ),
+    "FirstQuantizedState": (
+        "antisym",
+        "n_particles terms",
+        (2, (((1, -1), 0.5), ((-1, 1), -0.5))),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_immutable_namedtuples(name):
+    module, fields, values = RECORDS[name]
+    cls = getattr(import_module(f"dicke.{module}"), name)
+    fields = tuple(fields.split())
+    record = cls(**dict(zip(fields, values)))
+    assert cls._fields == fields and cls.__slots__ == ()
+    assert cls(*values) == record == values
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
