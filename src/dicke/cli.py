@@ -48,8 +48,16 @@ def main(argv: list[str]) -> int:
     if not argv:
         parser.print_usage(sys.stderr)
         return 2
+    # argparse reads "-7/2" as a flag, not as a value: join each --m to the
+    # token after it, so that M < 0 works in the documented `--m VALUE` form
+    tokens: list[str] = []
+    for token in argv:
+        if tokens and tokens[-1] == "--m":
+            tokens[-1] = f"--m={token}"
+        else:
+            tokens.append(token)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(tokens)
     except SystemExit as exc:
         return exc.code
     try:

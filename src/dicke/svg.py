@@ -25,6 +25,11 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
+def _coord(value: float) -> str:
+    """A coordinate: a float to one decimal, an int as it is."""
+    return f"{value:.1f}" if isinstance(value, float) else str(value)
+
+
 def polyline_chart(
     series: Sequence[tuple[str, Series]],
     title: str = "",
@@ -64,63 +69,41 @@ def polyline_chart(
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
+
+    def text(x, y, size: int, body: str, anchor="middle", transform="") -> None:
+        """One escaped <text>; an empty `anchor` or `transform` is left out."""
+        anchor = f' text-anchor="{anchor}"' if anchor else ""
+        transform = f' transform="{transform}"' if transform else ""
+        parts.append(
+            f'<text x="{_coord(x)}" y="{_coord(y)}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{transform}>{body.translate(_ESCAPE)}</text>'
+        )
+
+    def line(x1, y1, x2, y2, pen: str) -> None:
+        x1, y1, x2, y2 = map(_coord, (x1, y1, x2, y2))
+        parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {pen}/>')
+
     if title:
-        parts.append(
-            f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title.translate(_ESCAPE)}</text>'
-        )
-    # axes
+        text(WIDTH / 2, 20, 14, title)
     x0, y0 = sx(x_min), sy(y_min)
-    parts.append(
-        f'<line x1="{x0:.1f}" y1="{sy(y_max):.1f}" x2="{x0:.1f}" '
-        f'y2="{y0:.1f}" stroke="black"/>'
-    )
-    parts.append(
-        f'<line x1="{x0:.1f}" y1="{y0:.1f}" x2="{sx(x_max):.1f}" '
-        f'y2="{y0:.1f}" stroke="black"/>'
-    )
-    for value, anchor_x, anchor_y, anchor in (
-        (x_min, sx(x_min), y0 + 18, "middle"),
-        (x_max, sx(x_max), y0 + 18, "middle"),
-    ):
-        parts.append(
-            f'<text x="{anchor_x:.1f}" y="{anchor_y:.1f}" text-anchor="{anchor}" '
-            f'font-family="sans-serif" font-size="11">{_fmt(value)}</text>'
-        )
+    line(x0, sy(y_max), x0, y0, 'stroke="black"')  # axes
+    line(x0, y0, sx(x_max), y0, 'stroke="black"')
+    for value in (x_min, x_max):
+        text(sx(value), y0 + 18, 11, _fmt(value))
     for value in (y_min, y_max):
-        parts.append(
-            f'<text x="{x0 - 6:.1f}" y="{sy(value) + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(value)}</text>'
-        )
+        text(x0 - 6, sy(value) + 4, 11, _fmt(value), "end")
     if x_label:
-        parts.append(
-            f'<text x="{(MARGIN_LEFT + WIDTH - MARGIN_RIGHT) / 2:.1f}" '
-            f'y="{HEIGHT - 12}" text-anchor="middle" font-family="sans-serif" '
-            f'font-size="12">{x_label.translate(_ESCAPE)}</text>'
-        )
+        text((MARGIN_LEFT + WIDTH - MARGIN_RIGHT) / 2, HEIGHT - 12, 12, x_label)
     if y_label:
-        parts.append(
-            f'<text x="14" y="{(MARGIN_TOP + HEIGHT - MARGIN_BOTTOM) / 2:.1f}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 14 {(MARGIN_TOP + HEIGHT - MARGIN_BOTTOM) / 2:.1f})"'
-            f'>{y_label.translate(_ESCAPE)}</text>'
-        )
+        y_mid = (MARGIN_TOP + HEIGHT - MARGIN_BOTTOM) / 2
+        text(14, y_mid, 12, y_label, transform=f"rotate(-90 14 {y_mid:.1f})")
     for k, (label, pts) in enumerate(series):
-        color = PALETTE[k % len(PALETTE)]
+        pen = f'stroke="{PALETTE[k % len(PALETTE)]}" stroke-width="1.5"'
         coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in sorted(pts))
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{coords}"/>'
-        )
+        parts.append(f'<polyline fill="none" {pen} points="{coords}"/>')
         legend_y = MARGIN_TOP + 14 * (k + 1)
-        parts.append(
-            f'<line x1="{WIDTH - 150}" y1="{legend_y - 4}" x2="{WIDTH - 130}" '
-            f'y2="{legend_y - 4}" stroke="{color}" stroke-width="1.5"/>'
-        )
-        parts.append(
-            f'<text x="{WIDTH - 125}" y="{legend_y}" font-family="sans-serif" '
-            f'font-size="11">{label.translate(_ESCAPE)}</text>'
-        )
+        line(WIDTH - 150, legend_y - 4, WIDTH - 130, legend_y - 4, pen)
+        text(WIDTH - 125, legend_y, 11, label, anchor="")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -112,6 +112,31 @@ def test_basis_half_integer_magnetization(capsys):
     assert all(len(row) == 4 for row in rows)
 
 
+@pytest.mark.parametrize(
+    "argv, first_row",
+    [
+        (["basis", "--spin", "3/2", "--n", "3", "--m", "-7/2"], "0,0,1,2"),
+        (["expand", "--spin", "3/2", "--n", "3", "--m", "-7/2"], "0,0,1,2,1"),
+        (["oracle", "--spin", "1/2", "--n", "3", "--m", "-1/2"], "1,2,1"),
+        (["expand", "--spin", "1", "--n", "4", "--m", "-3"], "0,1,3,1"),
+        (["expand", "--spin", "1", "--n", "2", "--m", "0"], "1,0,1,0.57735026918962573"),
+    ],
+    ids=["basis", "expand", "oracle", "integer", "zero"],
+)
+def test_m_takes_the_next_token_as_its_value(argv, first_row, capsys):
+    """The token after `--m` is its value, as in `--m=M`, even `-7/2`."""
+    code, out, err = run(argv, capsys)
+    assert code == 0
+    assert out.splitlines()[1] == first_row
+    assert run([*argv[:-2], f"--m={argv[-1]}"], capsys) == (code, out, err)
+
+
+def test_bare_trailing_m_is_a_usage_error(capsys):
+    code, out, err = run(["expand", "--spin", "1", "--n", "2", "--m"], capsys)
+    assert (code, out) == (2, "")
+    assert "argument --m: expected one argument" in err
+
+
 def test_expand_reproduces_the_worked_example(capsys):
     code, out, _ = run(["expand", "--spin", "1", "--n", "10", "--m", "-1"], capsys)
     assert code == 0
@@ -763,6 +788,16 @@ SVG_DIGESTS = {
 #: half-integer M and a different number in every cell of both series
 PLOT_CSV = "M,dicke,equal\n-1/2,0.4,0.9\n1/2,0.3,0.7\n3/2,0.125,0.5\n5/2,0.0,0.25\n"
 PLOT_DIGEST = "b5c05d3926699f1e6fa7208122eeade2a85ab1c8b5372b79afd0dceef32db87f"
+#: nine series: the palette wraps to its first colour on the ninth legend
+#: row, whose label carries markup
+NINE_SERIES_CSV = (
+    "M,s1,s2,s3,s4,s5,s6,s7,s8,s9<&>\n"
+    "-1,0.875,0.5,0.125,1.0,0.625,0.25,1.125,0.75,0.375\n"
+    "-1/2,0.0,0.875,0.5,0.125,1.0,0.625,0.25,1.125,0.75\n"
+    "0,0.375,0.0,0.875,0.5,0.125,1.0,0.625,0.25,1.125\n"
+    "3/2,0.75,0.375,0.0,0.875,0.5,0.125,1.0,0.625,0.25\n"
+)
+NINE_SERIES_DIGEST = "19c38d5d00d5e6e86d848b17a6824850936036e52515429b1b3d200300d9b443"
 
 
 def sha256_of(path):
@@ -791,6 +826,15 @@ def test_figures_output_is_byte_identical(tmp_path, capsys):
         assert code == 0
         golden = GOLDEN / f"negativity_{family}_n80.csv"
         assert out == golden.read_text(encoding="utf-8")
+
+
+def test_plot_of_nine_series_is_byte_identical(tmp_path, capsys):
+    source = tmp_path / "nine.csv"
+    source.write_text(NINE_SERIES_CSV, encoding="utf-8")
+    out_svg = tmp_path / "nine.svg"
+    code, _, _ = run(["plot", "--in", str(source), "--out", str(out_svg)], capsys)
+    assert code == 0
+    assert sha256_of(out_svg) == NINE_SERIES_DIGEST
 
 
 def test_plot_renders_a_sweep_csv(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -26,10 +27,10 @@ def test_identity():
 
 
 def test_off_diagonal_pair():
-    c = 0.37
-    values = symmetric_eigenvalues([[0.0, c], [c, 0.0]])
-    assert values[0] == pytest.approx(-c, abs=1e-14)
-    assert values[1] == pytest.approx(c, abs=1e-14)
+    for c in (0.37, 1.0):
+        values = symmetric_eigenvalues([[0.0, c], [c, 0.0]])
+        assert values[0] == pytest.approx(-c, abs=1e-14)
+        assert values[1] == pytest.approx(c, abs=1e-14)
 
 
 def test_hollow_third_matrix():
@@ -60,7 +61,8 @@ def test_eigenvalues_sum_to_trace():
 
 
 def test_asymmetric_input_rejected():
-    with pytest.raises(ValueError):
+    message = r"\|a\[0\]\[1\] - a\[1\]\[0\]\| = 5\.000e-01"
+    with pytest.raises(ValueError, match=message):
         symmetric_eigenvalues([[0.0, 1.0], [0.5, 0.0]])
     with pytest.raises(ValueError):
         symmetric_eigenvalues([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
@@ -79,6 +81,49 @@ def test_unconverged_iteration_raises(monkeypatch):
     m = random_symmetric(random.Random(3), 9)
     with pytest.raises(ArithmeticError):
         symmetric_eigenvalues(m)
+    # one rotation diagonalizes a 2x2, so one sweep is enough there
+    assert symmetric_eigenvalues([[0.0, 0.5], [0.5, 0.0]]) == pytest.approx(
+        [-0.5, 0.5], abs=1e-15
+    )
+
+
+def test_an_off_diagonal_norm_at_the_threshold_is_not_converged():
+    """Convergence needs a norm strictly below 1e-13 * max(1, largest)."""
+    e = 7.071067811865475e-14  # sqrt(2 e^2) rounds to 1e-13 exactly
+    m = [[0.0, e], [e, 0.0]]
+    assert linalg.off_diagonal_norm(m) == linalg.OFF_DIAGONAL_TOLERANCE
+    assert symmetric_eigenvalues(m) == pytest.approx([-e, e], rel=1e-12, abs=0.0)
+
+
+def test_equal_diagonal_entries_rotate_by_plus_45_degrees():
+    """theta = 0 takes t = +1, sign(0) = +1; t = -1 would move the last bits."""
+    m = [[1.0, 0.5, 0.3], [0.5, 1.0, 0.2], [0.3, 0.2, 1.0]]
+    assert jacobi_eigh(m) == [
+        0.48716052632529977, 0.8289308414484848, 1.6839086322262151
+    ]
+
+
+def test_symmetry_tolerance_is_inclusive_and_the_split_reads_the_upper_triangle():
+    # |0 - 1e-12| is exactly the tolerance, so the matrix is admitted; its
+    # upper triangle is zero, so it is two 1x1 components
+    assert symmetric_eigenvalues([[1.0, 0.0], [1e-12, 1.0]]) == [1.0, 1.0]
+    with pytest.raises(ValueError, match="not symmetric"):
+        symmetric_eigenvalues([[1.0, 0.0], [math.nextafter(1e-12, 1.0), 1.0]])
+
+
+def test_each_component_is_solved_alone(monkeypatch):
+    sizes = []
+
+    def recording(a):
+        sizes.append(len(a))
+        return jacobi_eigh(a)
+
+    monkeypatch.setattr(linalg, "jacobi_eigh", recording)
+    h = 0.5
+    blocks = [[[0, 1.0], [1.0, 0]], [[2.0]], [[0, h, h], [h, 0, h], [h, h, 0]]]
+    values = symmetric_eigenvalues(_permuted(_direct_sum(blocks), [3, 0, 4, 2, 5, 1]))
+    assert sorted(sizes) == [2, 3]
+    assert values == pytest.approx([-1.0, -0.5, -0.5, 1.0, 1.0, 2.0], abs=1e-14)
 
 
 def test_large_entries_converge_to_relative_precision():
