@@ -16,8 +16,13 @@ from collections import namedtuple
 from itertools import combinations, permutations
 from math import factorial, sqrt
 
-from .coefficients import DickeExpansion
 from .species import DomainError, SpinSpecies
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # `antisym` runs without the basis and coefficient layers
+    from collections.abc import Iterator
+
+    from .coefficients import DickeExpansion
 
 Assignment = tuple[int, ...]  # per-particle twice-m values
 
@@ -40,16 +45,6 @@ class FirstQuantizedState(namedtuple("FirstQuantizedState", "n_particles terms")
 def antisym_count(species: SpinSpecies) -> int:
     """Number of elementary antisymmetric states: 2^(2s+1) - (2s + 2)."""
     return 2 ** (species.twice_spin + 1) - (species.twice_spin + 2)
-
-
-def _permutation_sign(perm: tuple[int, ...]) -> int:
-    inversions = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return -1 if inversions % 2 else 1
 
 
 def elementary_antisym(
@@ -75,10 +70,11 @@ def elementary_antisym(
             raise DomainError(f"no level 2m={tm} for spin {species.name}")
     amp = 1.0 / sqrt(factorial(n))
     terms = []
+    # the levels decrease, so the orderings of their indices, which come in
+    # lexicographic order, give the assignments in descending order
     for perm in permutations(range(n)):
-        assignment = tuple(levels[p] for p in perm)
-        terms.append((assignment, _permutation_sign(perm) * amp))
-    terms.sort(key=lambda t: t[0], reverse=True)
+        inversions = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1 :])
+        terms.append((tuple(levels[p] for p in perm), (-1) ** inversions * amp))
     return FirstQuantizedState(n, tuple(terms))
 
 
@@ -117,20 +113,25 @@ def inner_product(a: FirstQuantizedState, b: FirstQuantizedState) -> float:
     return sum(amp * bd.get(assignment, 0.0) for assignment, amp in a.terms)
 
 
-def _lower_first_quantized(
-    species: SpinSpecies, amps: dict[Assignment, float]
-) -> dict[Assignment, float]:
-    """Collective J- acting on a first-quantized few-particle state."""
+def _multiplet(species: SpinSpecies) -> Iterator[tuple[int, FirstQuantizedState]]:
+    """The two-particle multiplet J = 2s - 1 as (2M, member), top to
+    bottom: the (s, s-1) pair state, then each member lowered from the one
+    above by the collective J-."""
     ts = species.twice_spin
-    out: dict[Assignment, float] = {}
-    for assignment, amp in amps.items():
-        for i, tm in enumerate(assignment):
-            if tm == -ts:
-                continue
-            factor = sqrt(((ts + tm) // 2) * ((ts - tm) // 2 + 1))
-            lowered = assignment[:i] + (tm - 2,) + assignment[i + 1 :]
-            out[lowered] = out.get(lowered, 0.0) + amp * factor
-    return out
+    twice_j = 2 * ts - 2
+    state = elementary_antisym(species, (ts, ts - 2))
+    for tm in range(twice_j, -twice_j, -2):  # J- annihilates M = -J
+        yield tm, state
+        lowered: dict[Assignment, float] = {}
+        for assignment, amp in state.terms:
+            for i, level in enumerate(assignment):
+                if level > -ts:
+                    factor = sqrt(((ts + level) // 2) * ((ts - level) // 2 + 1))
+                    key = assignment[:i] + (level - 2,) + assignment[i + 1 :]
+                    lowered[key] = lowered.get(key, 0.0) + amp * factor
+        step = sqrt(((twice_j + tm) // 2) * ((twice_j - tm) // 2 + 1))
+        state = FirstQuantizedState(2, tuple((k, v / step) for k, v in lowered.items()))
+    yield -twice_j, state
 
 
 def two_particle_multiplet_residuals(
@@ -139,42 +140,38 @@ def two_particle_multiplet_residuals(
     """Check that the whole J = 2s - 1 two-particle multiplet lies in the
     span of the elementary pair states.
 
-    The top state |J = 2s-1, M = 2s-1> is the (s, s-1) pair state; the rest
-    of the multiplet is generated by lowering.  Returns (2M, residual norm
-    after projection) for every member, top to bottom.  The elementary pair
-    states are orthonormal, so plain overlap sums project exactly.
+    Returns (2M, residual norm after projection) for every member of
+    `_multiplet`, top to bottom.  The elementary pair states are
+    orthonormal, so plain overlap sums project exactly.
     """
     pairs = [
         elementary_antisym(species, subset)
         for subset in combinations(species.twice_levels, 2)
     ]
-    twice_j = 2 * species.twice_spin - 2  # J = 2s - 1
-    top = elementary_antisym(
-        species, (species.twice_spin, species.twice_spin - 2)
-    )
-    amps = top.as_dict()
     results = []
-    tm = twice_j
-    while True:
+    for tm, member in _multiplet(species):
         # subtract the projection componentwise; summing squared overlaps
         # instead would lose the residual to cancellation
-        remainder = dict(amps)
+        remainder = member.as_dict()
         for pair in pairs:
-            overlap = sum(
-                amp * amps.get(assignment, 0.0) for assignment, amp in pair.terms
-            )
+            overlap = inner_product(pair, member)
             for assignment, amp in pair.terms:
-                remainder[assignment] = (
-                    remainder.get(assignment, 0.0) - overlap * amp
-                )
+                remainder[assignment] = remainder.get(assignment, 0.0) - overlap * amp
         results.append((tm, sqrt(sum(a * a for a in remainder.values()))))
-        if tm == -twice_j:
-            break
-        lowered = _lower_first_quantized(species, amps)
-        step = sqrt(((twice_j + tm) // 2) * ((twice_j - tm) // 2 + 1))
-        amps = {k: v / step for k, v in lowered.items()}
-        tm -= 2
     return results
+
+
+def _first_quantized(expansion: DickeExpansion) -> dict[Assignment, float]:
+    """An occupation-basis state in first quantization: each vector's
+    amplitude over sqrt(its number of orderings) on every distinct ordering
+    of its levels."""
+    levels = expansion.species.twice_levels
+    amplitudes: dict[Assignment, float] = {}
+    for occ, amp in expansion.terms:
+        letters = [tm for tm, count in zip(levels, occ) for _ in range(count)]
+        orderings = set(permutations(letters))  # no other vector has these
+        amplitudes.update(dict.fromkeys(orderings, amp / sqrt(len(orderings))))
+    return amplitudes
 
 
 def symmetric_two_particle_state(expansion: DickeExpansion) -> FirstQuantizedState:
@@ -185,15 +182,6 @@ def symmetric_two_particle_state(expansion: DickeExpansion) -> FirstQuantizedSta
     """
     if expansion.n_particles != 2:
         raise DomainError("only two-particle expansions can be expanded here")
-    levels = expansion.species.twice_levels
-    terms: dict[Assignment, float] = {}
-    for occ, amp in expansion.terms:
-        occupied = [tm for tm, count in zip(levels, occ) for _ in range(count)]
-        a, b = occupied
-        if a == b:
-            terms[(a, b)] = terms.get((a, b), 0.0) + amp
-        else:
-            for pair in ((a, b), (b, a)):
-                terms[pair] = terms.get(pair, 0.0) + amp / sqrt(2.0)
-    ordered = sorted(terms.items(), key=lambda t: t[0], reverse=True)
-    return FirstQuantizedState(2, tuple(ordered))
+    return FirstQuantizedState(
+        2, tuple(sorted(_first_quantized(expansion).items(), reverse=True))
+    )

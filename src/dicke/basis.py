@@ -20,6 +20,7 @@ and flags disagreements; see VALIDATION.md).
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import mul
 
 from .species import DomainError, SpinSpecies, check_domain  # re-exported
 
@@ -237,76 +238,54 @@ def parametric_count(species: SpinSpecies, n_particles: int, twice_m: int) -> in
     return sum(m * (m + 1) // 2 for m in params.mk.values())
 
 
-def parametric_basis(
-    species: SpinSpecies, n_particles: int, twice_m: int
-) -> list[OccupationVector]:
-    """Occupation vectors generated by the k/k1/k2 parametrization.
-
-    Index combinations that solve to negative or fractional counts are
-    dropped and duplicates collapsed, so the result is a set of realizable
-    vectors in canonical order.  It may differ from `enumerate_basis`.
-    """
-    params = enumeration_bounds(species, n_particles, twice_m)
-    ts = species.twice_spin
-    n, tm = n_particles, twice_m
-    found: set[OccupationVector] = set()
-
-    if ts == 1:
-        # unique spin-1/2 solution of n1 + n2 = N, n1 - n2 = 2M
-        n1 = (n + tm) // 2
-        if 0 <= n1 <= n:
-            found.add((n1, n - n1))
+def _printed_inner_counts(params: EnumerationParams) -> Iterator[tuple[int, ...]]:
+    """The inner counts n_2 .. n_2s that the printed k/k1/k2 indices give,
+    one tuple per index combination."""
+    ts = params.species.twice_spin
+    if ts == 1:  # spin 1/2 has no inner level
+        yield ()
     elif ts == 2:
-        m = tm // 2
         for k in range(params.k0, params.k_max + 1):
-            n0 = params.parity_min + 2 * k
-            if (n - n0 + m) % 2 != 0:
-                continue
-            n1 = (n - n0 + m) // 2
-            nm = n - n0 - n1
-            if n0 >= 0 and n1 >= 0 and nm >= 0:
-                found.add((n1, n0, nm))
+            yield (params.parity_min + 2 * k,)  # n_0 = parity_min + 2k
     elif ts == 3:
         for k in range(params.k0, params.k_max + 1):
             g = params.gamma[k]
             diff23 = params.sign * g
             for k1 in range(1, params.mk[k] + 1):
                 sum23 = abs(g) - 2 * (k1 - 1)
-                if sum23 < abs(diff23) or (sum23 + diff23) % 2 != 0:
-                    continue
-                n2 = (sum23 + diff23) // 2
-                n3 = (sum23 - diff23) // 2
-                # remaining pair from the conservation laws:
-                # n1 + n4 = N - n2 - n3,  3 n1 + n2 - n3 - 3 n4 = 2M
-                rest = n - n2 - n3
-                num = tm - (n2 - n3)
-                if num % 3 != 0 or (rest + num // 3) % 2 != 0:
-                    continue
-                n1 = (rest + num // 3) // 2
-                n4 = rest - n1
-                if min(n1, n2, n3, n4) >= 0:
-                    found.add((n1, n2, n3, n4))
+                yield (sum23 + diff23) // 2, (sum23 - diff23) // 2
     else:
-        m = tm // 2
         for k in range(params.k0, params.k_max + 1):
             g = params.gamma[k]
             diff24 = params.sign * g
             n3_base = (1 - (-1) ** k) // 2  # +1 on odd k
             for k1 in range(1, params.mk[k] + 1):
                 sum24 = g + 2 * (k1 - 1)  # printed with gamma, not |gamma|
-                if sum24 < abs(diff24) or (sum24 + diff24) % 2 != 0:
-                    continue
-                n2 = (sum24 + diff24) // 2
-                n4 = (sum24 - diff24) // 2
+                n2, n4 = (sum24 + diff24) // 2, (sum24 - diff24) // 2
                 for k2 in range(params.mk[k] - k1 + 1):
-                    n3 = 2 * (k2 + 1) + n3_base - 2
-                    rest = n - n2 - n3 - n4
-                    num = m - (n2 - n4)  # = 2 (n1 - n5)
-                    if num % 2 != 0 or (rest + num // 2) % 2 != 0:
-                        continue
-                    n1 = (rest + num // 2) // 2
-                    n5 = rest - n1
-                    if min(n1, n2, n3, n4, n5) >= 0:
-                        found.add((n1, n2, n3, n4, n5))
+                    yield n2, 2 * (k2 + 1) + n3_base - 2, n4
 
+
+def parametric_basis(
+    species: SpinSpecies, n_particles: int, twice_m: int
+) -> list[OccupationVector]:
+    """Occupation vectors generated by the k/k1/k2 parametrization.
+
+    Each index combination fixes the inner counts and the conservation laws
+    the outer two; combinations that solve to a negative count are dropped
+    and duplicates collapsed, so the result is a set of realizable vectors
+    in canonical order.  It may differ from `enumerate_basis`.
+    """
+    params = enumeration_bounds(species, n_particles, twice_m)
+    ts, inner_levels = species.twice_spin, species.twice_levels[1:-1]
+    found: set[OccupationVector] = set()
+    for inner in _printed_inner_counts(params):
+        # n_1 + n_2s+1 = N - sum(inner) and 2s (n_1 - n_2s+1) = 2M - sum(inner * 2m),
+        # which every printed index combination solves in integers (VALIDATION.md)
+        rest = n_particles - sum(inner)
+        diff = (twice_m - sum(map(mul, inner, inner_levels))) // ts
+        first = (rest + diff) // 2
+        occ = (first, *inner, rest - first)
+        if min(occ) >= 0:
+            found.add(occ)
     return sorted(found, reverse=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from functools import cache
-from itertools import combinations_with_replacement, permutations, product, repeat
+from itertools import combinations_with_replacement, product, repeat
 from math import acos, comb, cos, isqrt, perm, sqrt
 from operator import add, mul
 
@@ -389,18 +389,12 @@ def brute_force_rdm(x: DickeExpansion) -> TwoQuditDensity:
         raise DomainError(f"brute-force reduction is limited to N <= 6, got {n}")
     if n < 2:
         raise DomainError("pair reduction needs at least two particles")
-    levels = x.species.twice_levels
-
-    amplitudes: dict[tuple[int, ...], float] = {}
-    for occ, amp in x.terms:
-        letters = [tm for tm, count in zip(levels, occ) for _ in range(count)]
-        arrangements = set(permutations(letters))  # no other vector has these
-        amplitudes.update(dict.fromkeys(arrangements, amp / sqrt(len(arrangements))))
+    from .antisym import _first_quantized
 
     index = {pair: i for i, pair in enumerate(pair_basis(x.species))}
     rho = [[0.0] * len(index) for _ in index]
     groups: dict[tuple[int, ...], dict[LevelPair, float]] = {}
-    for arrangement, amp in amplitudes.items():
+    for arrangement, amp in _first_quantized(x).items():
         groups.setdefault(arrangement[2:], {})[arrangement[:2]] = amp
     for vec in groups.values():
         for pair_i, ai in vec.items():

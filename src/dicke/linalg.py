@@ -79,7 +79,9 @@ def symmetric_eigenvalues(a: Matrix) -> list[float]:
     matrix is block diagonal over the connected components of the nonzero
     pattern of its upper triangle, so each component is solved on its own:
     a 1x1 component is its diagonal entry, any larger one goes to
-    `jacobi_eigh` with its indices in their original order.
+    `jacobi_eigh` with its indices in their original order.  A matrix whose
+    two triangles differ within `SYMMETRY_TOLERANCE` is solved as the
+    mirror image of its upper triangle.
     """
     n = len(a)
     if any(len(row) != n for row in a):
@@ -87,17 +89,22 @@ def symmetric_eigenvalues(a: Matrix) -> list[float]:
     if not all(map(isfinite, chain.from_iterable(a))):
         raise ValueError("matrix has a non-finite entry")
     label = list(range(n))  # component of each index
+    mirror = False
     for i, row in enumerate(a):
         for j in range(i + 1, n):
             aij = row[j]
-            if abs(aij - a[j][i]) > SYMMETRY_TOLERANCE:
-                raise ValueError(
-                    f"matrix is not symmetric: |a[{i}][{j}] - a[{j}][{i}]| = "
-                    f"{abs(aij - a[j][i]):.3e}"
-                )
+            if aij != a[j][i]:
+                if abs(aij - a[j][i]) > SYMMETRY_TOLERANCE:
+                    raise ValueError(
+                        f"matrix is not symmetric: |a[{i}][{j}] - a[{j}][{i}]| = "
+                        f"{abs(aij - a[j][i]):.3e}"
+                    )
+                mirror = True
             if aij != 0.0 and label[j] != label[i]:
                 merged, kept = label[j], label[i]
                 label = [kept if x == merged else x for x in label]
+    if mirror:  # solve the upper triangle that the split read
+        a = [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
     components: dict[int, list[int]] = {}
     for i, component in enumerate(label):
         components.setdefault(component, []).append(i)

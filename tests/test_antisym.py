@@ -1,4 +1,4 @@
-from math import comb, sqrt
+from math import comb, nextafter, sqrt
 
 import pytest
 
@@ -17,6 +17,7 @@ from dicke import (
 )
 from dicke.antisym import (
     FirstQuantizedState,
+    _multiplet,
     inner_product,
     symmetric_two_particle_state,
     two_particle_multiplet_residuals,
@@ -72,6 +73,13 @@ def test_repeated_level_rejected():
         elementary_antisym(SPIN_ONE, (2,))
 
 
+def test_levels_of_another_spin_rejected():
+    with pytest.raises(DomainError, match="no level 2m=1"):
+        elementary_antisym(SPIN_ONE, (1, -1))  # the wrong parity
+    with pytest.raises(DomainError, match="no level 2m=4"):
+        elementary_antisym(SPIN_ONE, (4, 2))  # out of range
+
+
 def test_enumeration_counts_per_species():
     for species in ALL_SPECIES:
         states = enumerate_all_antisym(species)
@@ -102,6 +110,27 @@ def test_symmetric_state_is_not_antisymmetric():
     assert not is_antisymmetric(symmetric)
 
 
+def test_symmetric_two_particle_terms_descend():
+    state = symmetric_two_particle_state(dicke_expansion(SPIN_ONE, 2, 0))
+    assert state.n_particles == 2
+    assert [assignment for assignment, _ in state.terms] == [(2, -2), (0, 0), (-2, 2)]
+
+
+def test_antisymmetry_tolerance_is_inclusive():
+    # the (1, -1) amplitude is 0, so each transposition leaves exactly the
+    # (-1, 1) amplitude
+    for defect, expected in ((1e-12, True), (nextafter(1e-12, 1.0), False)):
+        state = FirstQuantizedState(2, (((1, -1), 0.0), ((-1, 1), defect)))
+        assert is_antisymmetric(state) is expected
+
+
+def test_missing_transposed_terms_are_zero():
+    # a lone term is not antisymmetric, whatever its sign
+    assert not is_antisymmetric(FirstQuantizedState(2, (((1, -1), -1.0),)))
+    uu = symmetric_two_particle_state(dicke_expansion(SPIN_ONE, 2, 4))
+    assert inner_product(uu, elementary_antisym(SPIN_ONE, (2, 0))) == 0.0
+
+
 def test_antisymmetry_is_scale_free():
     singlet = elementary_antisym(SPIN_HALF, (1, -1))
     scaled = FirstQuantizedState(
@@ -120,25 +149,19 @@ def test_two_particle_multiplet_lies_in_the_elementary_span():
 
 def test_edge_multiplet_members_are_elementary_pair_states():
     """|J = 2s-1, M> at M = 2s-1 and 2s-2 equal the (s, s-1) and (s, s-2)
-    pair states; mirrored members match up to overall sign."""
+    pair states, and the mirrored members their mirror images, each with
+    sign +1; every member lives on the levels of its species."""
     for species in (SPIN_THREE_HALVES, SPIN_TWO):
         ts = species.twice_spin
         residuals = dict(two_particle_multiplet_residuals(species))
         assert residuals[2 * ts - 2] < 1e-12
-        # regenerate the multiplet and compare against the pairs directly
-        from dicke.antisym import _lower_first_quantized
-
-        top = elementary_antisym(species, (ts, ts - 2))
-        amps = top.as_dict()
+        states = dict(_multiplet(species))
+        assert all(
+            set(assignment) <= set(species.twice_levels)
+            for member in states.values()
+            for assignment, _ in member.terms
+        )
         twice_j = 2 * ts - 2
-        states = {twice_j: amps}
-        tm = twice_j
-        while tm > -twice_j:
-            lowered = _lower_first_quantized(species, amps)
-            step = sqrt(((twice_j + tm) // 2) * ((twice_j - tm) // 2 + 1))
-            amps = {k: v / step for k, v in lowered.items()}
-            tm -= 2
-            states[tm] = amps
         for sign_tm, pair in (
             (twice_j, (ts, ts - 2)),
             (twice_j - 2, (ts, ts - 4)),
@@ -146,8 +169,5 @@ def test_edge_multiplet_members_are_elementary_pair_states():
             (-twice_j, (-ts + 2, -ts)),
         ):
             reference = elementary_antisym(species, pair)
-            overlap = sum(
-                amp * states[sign_tm].get(assignment, 0.0)
-                for assignment, amp in reference.terms
-            )
-            assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
+            overlap = inner_product(reference, states[sign_tm])
+            assert overlap == pytest.approx(1.0, abs=1e-12)

@@ -183,12 +183,16 @@ def test_recorded_parametric_discrepancies():
 #: every species, N = 1..12 and every M (828 cases): the paper's printed
 #: formulas, wrong parts included, not their agreement with enumerate_basis
 PARAMETRIC_DIGEST = "d0d3be40fa553361df5de8402650e83e0d8ecee220467b094b644879d40b586b"
+#: the same over N = 13..24
+PARAMETRIC_DIGEST_13_24 = (
+    "64f68b23c56c68533a291846098282ff59b5111028db5f1fb894c3b01aaf6df1"
+)
 
 
-def test_parametric_routes_are_pinned():
+def parametric_digest(particle_numbers):
     digest = hashlib.sha256()
     for species in ALL_SPECIES:
-        for n in range(1, 13):
+        for n in particle_numbers:
             tj = species.twice_spin * n
             for tm in range(-tj, tj + 1, 2):
                 case = (
@@ -197,7 +201,15 @@ def test_parametric_routes_are_pinned():
                     parametric_basis(species, n, tm),
                 )
                 digest.update(repr(case).encode())
-    assert digest.hexdigest() == PARAMETRIC_DIGEST
+    return digest.hexdigest()
+
+
+def test_parametric_routes_are_pinned():
+    assert parametric_digest(range(1, 13)) == PARAMETRIC_DIGEST
+
+
+def test_parametric_routes_are_pinned_past_n_12():
+    assert parametric_digest(range(13, 25)) == PARAMETRIC_DIGEST_13_24
 
 
 def test_bound_parameters_are_well_formed_on_nonempty_bases():

@@ -244,6 +244,24 @@ def test_expand_output_bytes_are_pinned(spin, n, m, capsys):
     assert digest == EXPAND_DIGESTS[spin, n, m]
 
 
+#: sha256 of the .17g CSV `antisym` prints for each spin: every sign and
+#: order of the first-quantized terms
+ANTISYM_DIGESTS = {
+    "1/2": "1d37cf0354874f6cb331224c66e3b5b966b970a6e5682542fd0442c6d53749b7",
+    "1": "cf3a853627242b77679fe4eb80f7324ac5c81f373cafe0ac3f95cd7c438c1e9d",
+    "3/2": "1dc1057626911c742050a5638251dd7e9beabf20624f9277f5f0e1e4de102022",
+    "2": "f144590e43c64f0c7fa7abc8d22047b01dacbb75e857f9f2b9347d934b6c88b6",
+}
+
+
+@pytest.mark.parametrize("spin", sorted(ANTISYM_DIGESTS))
+def test_antisym_output_bytes_are_pinned(spin, capsys):
+    code, out, err = run(["antisym", "--spin", spin], capsys)
+    assert code == 0 and err == ""
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == ANTISYM_DIGESTS[spin]
+
+
 #: sha256 of each `--help` text at 80 columns: the top-level parser, then
 #: every subcommand
 HELP_DIGESTS = {

@@ -91,6 +91,11 @@ def test_dicke_family_sweep_loads_no_basis_layer():
         }
 
 
+def test_antisym_loads_only_its_layer():
+    package, _ = loaded_by("antisym", "--spin", "2")
+    assert package == {"dicke", "dicke.cli", "dicke.species", "dicke.antisym"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [

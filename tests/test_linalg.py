@@ -111,6 +111,16 @@ def test_symmetry_tolerance_is_inclusive_and_the_split_reads_the_upper_triangle(
         symmetric_eigenvalues([[1.0, 0.0], [math.nextafter(1e-12, 1.0), 1.0]])
 
 
+def test_triangles_that_differ_within_the_tolerance_solve_the_upper_one():
+    for diagonal in (1.0, 2.0):
+        near = [[1.0, 1e-12], [0.0, diagonal]]
+        mirrored = [[1.0, 1e-12], [1e-12, diagonal]]
+        assert symmetric_eigenvalues(near) == symmetric_eigenvalues(mirrored)
+    assert symmetric_eigenvalues([[1.0, 1e-12], [0.0, 1.0]]) == pytest.approx(
+        [1.0 - 1e-12, 1.0 + 1e-12], rel=0.0, abs=1e-15
+    )
+
+
 def test_each_component_is_solved_alone(monkeypatch):
     sizes = []
 

@@ -31,6 +31,7 @@ SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
     ast.In: ast.NotIn, ast.NotIn: ast.In, ast.And: ast.Or, ast.Or: ast.And,
+    ast.USub: ast.UAdd,
 }
 
 
@@ -38,8 +39,9 @@ def sites(tree: ast.Module, names: set[str]) -> list[tuple[ast.AST, int]]:
     """(node, slot) pairs to flip: slot indexes Compare.ops, else it is -1."""
     roots = [n for n in tree.body if not names or getattr(n, "name", None) in names]
     found = []
+    operators = (ast.BinOp, ast.BoolOp, ast.UnaryOp)
     for node in (n for root in roots for n in ast.walk(root)):
-        if isinstance(node, (ast.BinOp, ast.BoolOp)) and type(node.op) in SWAPS:
+        if isinstance(node, operators) and type(node.op) in SWAPS:
             found.append((node, -1))
         elif isinstance(node, ast.Compare):
             found += [(node, i) for i, op in enumerate(node.ops) if type(op) in SWAPS]
