@@ -7,8 +7,8 @@ conservation laws
     sum_m n_m = N          and          sum_m m * n_m = M.
 
 `enumerate_basis` solves this Diophantine system directly and is the
-authoritative enumeration; `basis_size` counts its vectors without
-building them.  Its recursion, `_runs`, yields runs of vectors in which
+authoritative enumeration; `basis_size` counts its vectors, or those of
+a whole lowering chain, without building them.  Its recursion, `_runs`, yields runs of vectors in which
 only the last three counts move; the closed-form walk reads them too.
 `enumeration_bounds`, `parametric_count` and `parametric_basis` transcribe
 an alternative bound/index parametrization of the same bases; it is
@@ -96,41 +96,38 @@ def lowering_depth_sizes(
     return sizes
 
 
-def basis_size(species: SpinSpecies, n_particles: int, twice_m: int) -> int:
-    """len(enumerate_basis(species, n_particles, twice_m)), without
-    enumerating; the basis at M is the mirror image of the one at -M."""
-    check_domain(species, n_particles, twice_m)
-    depth = (species.twice_spin * n_particles - abs(twice_m)) // 2
-    return lowering_depth_sizes(species, n_particles, depth)[depth]
+def basis_size(
+    species: SpinSpecies,
+    n_particles: int,
+    twice_m: int,
+    chain: bool = False,
+    cap: int | None = None,
+) -> int:
+    """len(enumerate_basis(species, n_particles, twice_m)) without
+    enumerating, or with `chain` the vectors of the bases at M' = J, J - 1,
+    ..., M together, which the lowering chain to M holds.
 
-
-def past_cap(
-    species: SpinSpecies, n_particles: int, twice_m: int, cap: int, chain: bool = False
-) -> bool:
-    """Whether the basis at (N, M), or with `chain` the bases at M' = J,
-    J - 1, ..., M together, hold more than `cap` vectors.
-
-    Unlike `basis_size`, the sizes are not built past the depth where the
-    answer shows: the table is built to depths 64, 128, ... and stops once
-    the running sum (chain) or the last size passes `cap`.  The last size is
-    the largest so far, because the sizes rise with the depth up to J (the
-    coefficients of a Gaussian binomial are unimodal).  Spin 1/2 has one
-    vector at every depth and spin 1 has floor(k/2) + 1 at depth k <= N.
+    Spin 1/2 has one vector at each depth k = J - M' and spin 1 has
+    floor(k/2) + 1 at k <= N.  Otherwise the sizes are built to the full
+    depth, or with a `cap` to depths 64, 128, ... until the size or the
+    chain sum passes it: a result above `cap` says only that, one at or
+    below it is exact.  The last size is the largest so far, as the sizes
+    rise with the depth up to J (the coefficients of a Gaussian binomial
+    are unimodal), and the basis at -M mirrors the one at M.
     """
     check_domain(species, n_particles, twice_m)
     lowest = twice_m if chain else abs(twice_m)
     depth = (species.twice_spin * n_particles - lowest) // 2
     if species.twice_spin == 1:
-        return (depth + 1 if chain else 1) > cap
+        return depth + 1 if chain else 1
     if species.twice_spin == 2 and not chain:
-        return depth // 2 + 1 > cap
-    reach = 64
+        return depth // 2 + 1
+    reach = 64 if cap is not None else depth
     while True:
         sizes = lowering_depth_sizes(species, n_particles, min(reach, depth))
-        if (sum(sizes) if chain else sizes[-1]) > cap:
-            return True
-        if reach >= depth:
-            return False
+        size = sum(sizes) if chain else sizes[-1]
+        if reach >= depth or size > cap:
+            return size
         reach *= 2
 
 

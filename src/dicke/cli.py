@@ -60,6 +60,12 @@ def main(argv: list[str]) -> int:
         args = parser.parse_args(tokens)
     except SystemExit as exc:
         return exc.code
+    # argparse stores [] for a value written `--flag=--`; no flag takes a list
+    missing = ", ".join(k for k, v in vars(args).items() if isinstance(v, list))
+    if missing:
+        parser.print_usage(sys.stderr)
+        print(f"dicke {args.command}: error: no value for {missing}", file=sys.stderr)
+        return 2
     try:
         return args.handler(args)
     except (DomainError, UnicodeDecodeError, OSError) as exc:
@@ -142,9 +148,9 @@ def _parse_state_args(args) -> tuple[SpinSpecies, int, int]:
 def _refuse_past_cap(
     what: str, species: SpinSpecies, n: int, tm: int, cap: int, chain: bool = False
 ) -> None:
-    from .basis import past_cap
+    from .basis import basis_size
 
-    if past_cap(species, n, tm, cap, chain):
+    if basis_size(species, n, tm, chain, cap) > cap:
         raise DomainError(f"{what} of more than {cap:,} vectors is past the CLI cap")
 
 

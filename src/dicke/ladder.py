@@ -21,14 +21,14 @@ walk.  Keys are unpacked to tuples only at the boundary: once at the end of
 a chain, and around each call of the public `apply_lowering` /
 `apply_raising`, which keep tuple keys.
 
-A long chain switches to `_table_step`, which reads each factor from a
+A long chain walks with `_table_step`, which reads each factor from a
 flat table indexed by the packed pair (n_i, n_{i+1}) instead of computing
 it: the same sqrt of the same integer, so the values and dict order do not
-change.  The tables of a chain hold 2s * N(N+1)/2 factors, and they are
-built once the vectors walked so far outnumber them, so building never
-costs more than the work already done.  Spin-1/2 and spin-1 chains never
-get there: with at most three levels a level pair fixes the vector, so
-no factor is read twice.
+change.  The tables of a chain hold 2s * N(N+1)/2 factors; the chain
+decides before its first step, from `basis_size`, and builds them when its
+steps will read more vectors than that, so building never costs more than
+the walk.  Spin-1/2 and spin-1 chains never build them: with at most three
+levels a level pair fixes the vector, so no factor is read twice.
 
 One walk serves every M on its way: `_chain` yields the raw state at each
 M it passes and `_finish` divides, normalizes, prunes and sorts one of
@@ -50,7 +50,7 @@ from itertools import accumulate
 from math import factorial, sqrt
 from operator import lshift, mul
 
-from .basis import OccupationVector, lowering_depth_sizes
+from .basis import OccupationVector, basis_size
 from .coefficients import DickeExpansion
 from .species import DomainError, SpinSpecies, check_domain
 
@@ -206,15 +206,6 @@ def _lowering_steps(twice_j: int, twice_m: int) -> Iterator[int]:
         yield ((twice_j + tm) // 2) * ((twice_j - tm) // 2 + 1)
 
 
-def chain_vectors(species: SpinSpecies, n_particles: int, twice_m: int) -> int:
-    """Occupation vectors held by the lowering chain from |J, J> down to
-    |J, M>, summed over its steps: the work of `oracle_expansion`, sized
-    without running it (every vector of each intermediate basis is hit)."""
-    check_domain(species, n_particles, twice_m)
-    depth = (species.twice_spin * n_particles - twice_m) // 2
-    return sum(lowering_depth_sizes(species, n_particles, depth))
-
-
 def _chain(
     species: SpinSpecies, n_particles: int, twice_m: int
 ) -> Iterator[tuple[int, dict[int, float], float]]:
@@ -232,14 +223,15 @@ def _chain(
     moves = _moves(species, width, lowering=True)
     table_size = len(moves) * n_particles * (n_particles + 1) // 2
     tabled = None
-    walked = 0
+    # the steps read the states at M' = J, J - 1, ..., M + 1
+    if twice_m < twice_j and table_size < basis_size(
+        species, n_particles, twice_m + 2, chain=True, cap=table_size
+    ):
+        tabled = _tables(moves, n_particles, width)
     terms, divisor = {n_particles: 1.0}, 1.0  # |J, J>: every particle in level 0
     tm = twice_j
     yield tm, terms, divisor
     for step in _lowering_steps(twice_j, twice_m):
-        if tabled is None and walked > table_size:
-            tabled = _tables(moves, n_particles, width)
-        walked += len(terms)
         if tabled is None:
             terms = _step(terms, moves, mask, divisor)
         else:

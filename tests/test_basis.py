@@ -1,9 +1,11 @@
 import hashlib
+import tracemalloc
 
 import pytest
 
 from dicke import (
     ALL_SPECIES,
+    SPIN_HALF,
     SPIN_ONE,
     SPIN_THREE_HALVES,
     SPIN_TWO,
@@ -16,8 +18,6 @@ from dicke import (
     parametric_basis,
     parametric_count,
 )
-from dicke.basis import past_cap
-from dicke.ladder import chain_vectors
 
 
 def test_spin1_n10_m5():
@@ -261,20 +261,58 @@ def test_basis_size_of_bases_too_large_to_enumerate():
         basis_size(SPIN_TWO, 400, 1601 * 2)
 
 
-def test_past_cap_agrees_with_the_exact_sizes():
+def test_capped_sizes_agree_with_the_exact_sizes():
+    """With a cap, a size is either above it, as the exact size is, or
+    exact."""
     for species in ALL_SPECIES:
         for n in (*range(1, 25), 61, 130):
             twice_j = species.twice_spin * n
             for twice_m in range(-twice_j, twice_j + 1, 2):
                 size = basis_size(species, n, twice_m)
-                chain = chain_vectors(species, n, twice_m)
+                chain = basis_size(species, n, twice_m, chain=True)
                 for cap in {0, size - 1, size, chain - 1, chain, 100}:
-                    assert past_cap(species, n, twice_m, cap) == (size > cap)
-                    assert past_cap(species, n, twice_m, cap, chain=True) == (
-                        chain > cap
-                    )
-    with pytest.raises(DomainError):
-        past_cap(SPIN_TWO, 400, 1601 * 2, 10)
+                    for chained, exact in ((False, size), (True, chain)):
+                        capped = basis_size(species, n, twice_m, chained, cap)
+                        assert (capped > cap) == (exact > cap)
+                        if exact <= cap:
+                            assert capped == exact
+    for chained in (False, True):
+        with pytest.raises(DomainError):
+            basis_size(SPIN_TWO, 400, 1601 * 2, chained, 10)
+
+
+def test_chain_sizes_sum_the_bases_along_the_chain():
+    for species in ALL_SPECIES:
+        for n in (1, 2, 5, 9):
+            twice_j = species.twice_spin * n
+            for twice_m in range(-twice_j, twice_j + 1, 2):
+                expected = sum(
+                    len(enumerate_basis(species, n, tm))
+                    for tm in range(twice_j, twice_m - 1, -2)
+                )
+                assert basis_size(species, n, twice_m, chain=True) == expected
+    assert basis_size(SPIN_TWO, 60, 0, chain=True) == 321081
+    assert basis_size(SPIN_ONE, 2400, 0, chain=True) == 1442401
+    assert basis_size(SPIN_TWO, 400, 0, chain=True) == 547689423
+
+
+def test_spin_half_and_spin_one_sizes_are_closed_forms():
+    """N = 10^8 is sized without a table of its 10^8 depths."""
+    n = 10**8
+    tracemalloc.start()
+    try:
+        sizes = (
+            basis_size(SPIN_ONE, n, 0),
+            basis_size(SPIN_ONE, n, 2 * n - 6),
+            basis_size(SPIN_HALF, n, 0),
+            basis_size(SPIN_HALF, n, 0, chain=True),
+            basis_size(SPIN_HALF, n, -n, chain=True),
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == (50_000_001, 2, 1, 50_000_001, n + 1)
+    assert peak < 2**20
 
 
 #: sha256 of every basis of every species, N <= 12 and every M, in order

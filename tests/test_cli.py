@@ -137,6 +137,48 @@ def test_bare_trailing_m_is_a_usage_error(capsys):
     assert "argument --m: expected one argument" in err
 
 
+#: every value flag of every command, with a value that each command accepts
+STATE_FLAGS = {"--spin": "1", "--n": "2", "--m": "0", "--format": "csv"}
+VALUE_FLAGS = {
+    "basis": STATE_FLAGS,
+    "expand": STATE_FLAGS,
+    "oracle": STATE_FLAGS,
+    "antisym": {"--spin": "1", "--format": "csv"},
+    "negativity": {"--state": "dicke", "--n": "4", "--m": "0"},
+    "figures": {"--out-dir": "figures"},
+    "plot": {"--in": "sweep.csv", "--out": "sweep.svg"},
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, form",
+    [
+        (command, flag, form)
+        for command, flags in VALUE_FLAGS.items()
+        for flag in flags
+        for form in ("joined", "spaced")
+        if form == "joined" or flag == "--m"
+    ],
+)
+def test_double_dash_as_a_value_is_a_usage_error(
+    command, flag, form, capsys, monkeypatch, tmp_path
+):
+    """argparse leaves `--flag=--` as an empty list, and `--m --` is joined
+    to `--m=--`: each exits 2 before its command runs."""
+    monkeypatch.chdir(tmp_path)
+    argv = [command]
+    for name, value in VALUE_FLAGS[command].items():
+        if name != flag:
+            argv += [name, value]
+        else:
+            argv += [f"{name}=--"] if form == "joined" else [name, "--"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert f"dicke {command}: error: no value for " in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_expand_reproduces_the_worked_example(capsys):
     code, out, _ = run(["expand", "--spin", "1", "--n", "10", "--m", "-1"], capsys)
     assert code == 0
@@ -419,10 +461,10 @@ def test_dicke_family_point_at_a_million_particles(capsys):
 
 
 def test_size_caps_admit_the_documented_sizes():
-    species = SpinSpecies.from_str("2")
-    assert dicke.basis_size(species, 200, 0) <= BASIS_CAP
-    assert dicke.ladder.chain_vectors(species, 60, 0) <= CHAIN_CAP
-    assert dicke.ladder.chain_vectors(SpinSpecies.from_str("1"), 2400, 0) <= CHAIN_CAP
+    spin_one, spin_two = SpinSpecies.from_str("1"), SpinSpecies.from_str("2")
+    assert dicke.basis_size(spin_two, 200, 0, cap=BASIS_CAP) <= BASIS_CAP
+    assert dicke.basis_size(spin_two, 60, 0, True, CHAIN_CAP) <= CHAIN_CAP
+    assert dicke.basis_size(spin_one, 2400, 0, True, CHAIN_CAP) <= CHAIN_CAP
     assert 2400 + 1 <= SWEEP_CAP
 
 

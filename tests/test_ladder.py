@@ -31,7 +31,6 @@ from dicke.ladder import (
     _moves,
     _tables,
     _unpack,
-    chain_vectors,
     oracle_squares_exact,
 )
 
@@ -266,21 +265,6 @@ def test_walks_reject_vectors_that_are_not_occupations():
             apply_raising(RawExpansion(SPIN_ONE, 4, {occ: 1.0}))
 
 
-def test_chain_vectors_sums_the_bases_along_the_chain():
-    for species in ALL_SPECIES:
-        for n in (1, 2, 5, 9):
-            twice_j = species.twice_spin * n
-            for twice_m in range(-twice_j, twice_j + 1, 2):
-                expected = sum(
-                    len(enumerate_basis(species, n, tm))
-                    for tm in range(twice_j, twice_m - 1, -2)
-                )
-                assert chain_vectors(species, n, twice_m) == expected
-    assert chain_vectors(SPIN_TWO, 60, 0) == 321081
-    assert chain_vectors(SPIN_ONE, 2400, 0) == 1442401
-    assert chain_vectors(SPIN_TWO, 400, 0) == 547689423
-
-
 def test_every_table_entry_is_its_ladder_factor():
     for species in ALL_SPECIES:
         for n in (1, 2, 7, 8, 33):
@@ -350,7 +334,7 @@ def test_one_chain_finishes_to_the_oracle_at_every_m(
     species, n, lowest, tabled, monkeypatch
 ):
     """Every state one walk passes, finished, is `oracle_expansion` at its
-    M bit for bit, before and after the walk switches to the tables."""
+    M bit for bit, on walks with and without the tables."""
     builds = _count_table_builds(monkeypatch)
     finished = []
     for tm, raw, divisor in _chain(species, n, lowest):
@@ -367,29 +351,33 @@ def test_one_chain_finishes_to_the_oracle_at_every_m(
 
 
 @pytest.mark.parametrize(
-    "species, n, tie, built",
+    "species, n, tie",
     [
-        (SPIN_THREE_HALVES, 3, True, False),
-        (SPIN_THREE_HALVES, 5, True, True),
-        (SPIN_THREE_HALVES, 8, False, True),
-        (SPIN_TWO, 3, True, True),
-        (SPIN_TWO, 9, True, True),
-        (SPIN_TWO, 20, False, True),
+        (SPIN_THREE_HALVES, 3, True),
+        (SPIN_THREE_HALVES, 5, True),
+        (SPIN_THREE_HALVES, 8, False),
+        (SPIN_TWO, 3, True),
+        (SPIN_TWO, 9, True),
+        (SPIN_TWO, 20, False),
     ],
 )
 def test_chains_switch_to_tables_after_walking_more_vectors_than_they_hold(
-    species, n, tie, built, monkeypatch
+    species, n, tie, monkeypatch
 ):
-    """The tables of a chain hold 2s * N(N+1)/2 factors.  They are built
-    before the first step whose earlier steps walked more vectors than
-    that, and not at a step where the two are equal (`tie`)."""
+    """The tables of a chain hold 2s * N(N+1)/2 factors.  A chain to depth
+    d builds them once, before its first step, when its steps read more
+    vectors than that (the states at depths 0 .. d - 1), and not when the
+    two are equal (`tie`)."""
     builds = _count_table_builds(monkeypatch)
     twice_j = species.twice_spin * n
     table_size = species.twice_spin * n * (n + 1) // 2
-    walked = list(accumulate(lowering_depth_sizes(species, n, twice_j), initial=0))
-    assert (table_size in walked) == tie
-    for depth, _ in enumerate(_chain(species, n, -twice_j)):
-        # the state at depth d >= 1 came from the step that had walked the
-        # states at depths 0 .. d - 2
-        assert len(builds) == int(depth >= 1 and walked[depth - 1] > table_size)
-    assert len(builds) == built
+    read = list(accumulate(lowering_depth_sizes(species, n, twice_j), initial=0))
+    assert (table_size in read) == tie
+    for depth in range(twice_j + 1):
+        builds.clear()
+        chain = _chain(species, n, twice_j - 2 * depth)
+        next(chain)
+        assert len(builds) == int(read[depth] > table_size)
+        for _ in chain:
+            pass
+        assert len(builds) == int(read[depth] > table_size)
