@@ -96,6 +96,21 @@ def lowering_depth_sizes(
     return sizes
 
 
+def _spin_one_chain(n_particles: int, depth: int) -> int:
+    """The spin-1 basis sizes at depths 0 .. depth summed: floor(k/2) + 1
+    at k <= N sum to S(d) = (q + 1)(q + 1 + r) for d = 2q + r, r in {0, 1},
+    and past k = N the sizes mirror those at 2N - k."""
+
+    def partial(d: int) -> int:
+        q, r = divmod(d, 2)
+        return (q + 1) * (q + 1 + r)
+
+    n = n_particles
+    if depth <= n:
+        return partial(depth)
+    return partial(n) + partial(n - 1) - partial(2 * n - depth - 1)
+
+
 def basis_size(
     species: SpinSpecies,
     n_particles: int,
@@ -108,10 +123,11 @@ def basis_size(
     ..., M together, which the lowering chain to M holds.
 
     Spin 1/2 has one vector at each depth k = J - M' and spin 1 has
-    floor(k/2) + 1 at k <= N.  Otherwise the sizes are built to the full
-    depth, or with a `cap` to depths 64, 128, ... until the size or the
-    chain sum passes it: a result above `cap` says only that, one at or
-    below it is exact.  The last size is the largest so far, as the sizes
+    floor(k/2) + 1 at k <= N, mirrored about k = N, so both are counted
+    in closed form (`_spin_one_chain`).  Otherwise the sizes are built to
+    the full depth, or with a `cap` to depths 64, 128, ... until the size
+    or the chain sum passes it: a result above `cap` says only that, one at
+    or below it is exact.  The last size is the largest so far, as the sizes
     rise with the depth up to J (the coefficients of a Gaussian binomial
     are unimodal), and the basis at -M mirrors the one at M.
     """
@@ -120,8 +136,8 @@ def basis_size(
     depth = (species.twice_spin * n_particles - lowest) // 2
     if species.twice_spin == 1:
         return depth + 1 if chain else 1
-    if species.twice_spin == 2 and not chain:
-        return depth // 2 + 1
+    if species.twice_spin == 2:
+        return _spin_one_chain(n_particles, depth) if chain else depth // 2 + 1
     reach = 64 if cap is not None else depth
     while True:
         sizes = lowering_depth_sizes(species, n_particles, min(reach, depth))

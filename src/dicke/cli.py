@@ -34,8 +34,10 @@ BASIS_CAP = 250_000
 #: most magnetizations M = 0..J a `negativity --sweep` computes, about 2 s
 #: and 17 MB for the Dicke family at N = 9,999
 SWEEP_CAP = 10_000
-#: most vectors the `oracle` chain may hold summed over its steps, 6-10 s
-#: (spin 2 at N = 60, M = 0 walks 321,081; spin 1 at N = 2400, 1,442,401)
+#: most vectors the `oracle` chain may hold summed over its steps: 3.4-6 s
+#: fresh on a 2-vCPU host for the largest admitted chains to M = 0 or 1/2
+#: (spin 1 at N = 4470, spin 3/2 at N = 389, spin 2 at N = 121); spin 2
+#: at N = 60, M = 0 walks 321,081 and spin 1 at N = 2400, 1,442,401
 CHAIN_CAP = 5_000_000
 
 

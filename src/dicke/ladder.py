@@ -17,18 +17,22 @@ integer addition and reading a count is a shift and a mask.  The kernel
 `_step` takes the same sources in the same order, tries the same moves in
 the same order and does the same float operations as a walk over tuples,
 so every amplitude and the order of every dict are those of the tuple
-walk.  Keys are unpacked to tuples only at the boundary: once at the end of
-a chain, and around each call of the public `apply_lowering` /
-`apply_raising`, which keep tuple keys.
+walk.  Keys cross to tuples only at the boundary, a whole state at a time
+in one pass per level (`_pack`, `_unpack`): once at the end of a chain,
+and around each public `apply_lowering` / `apply_raising`.
 
 A long chain walks with `_table_step`, which reads each factor from a
 flat table indexed by the packed pair (n_i, n_{i+1}) instead of computing
 it: the same sqrt of the same integer, so the values and dict order do not
-change.  The tables of a chain hold 2s * N(N+1)/2 factors; the chain
-decides before its first step, from `basis_size`, and builds them when its
-steps will read more vectors than that, so building never costs more than
-the walk.  Spin-1/2 and spin-1 chains never build them: with at most three
-levels a level pair fixes the vector, so no factor is read twice.
+change.  Its body is straight-line over four moves (spin 3/2 pads one that
+shifts past the top level onto entry 0 of a table, 0.0) and merges every
+contribution with `get`, as `_step` does: writing first contributions
+with `=` would hold on chain states only.  The tables of a chain hold
+2s * N(N+1)/2 factors; the chain decides before its first step, from
+`basis_size`, and builds them when its steps will read more vectors than
+that, so building never costs more than the walk.  Spin-1/2 and spin-1
+chains never build them: with at most three levels a level pair fixes the
+vector, so no factor is read twice.
 
 One walk serves every M on its way: `_chain` yields the raw state at each
 M it passes and `_finish` divides, normalizes, prunes and sorts one of
@@ -46,9 +50,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, compress, repeat
 from math import factorial, sqrt
-from operator import lshift, mul
+from operator import add, and_, itemgetter, lshift, mul, rshift, truediv
 
 from .basis import OccupationVector, basis_size
 from .coefficients import DickeExpansion
@@ -56,7 +60,7 @@ from .species import DomainError, SpinSpecies, check_domain
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Iterator
+    from collections.abc import Iterable, Iterator
     from fractions import Fraction
 
 PRUNE_THRESHOLD = 1e-14
@@ -149,44 +153,66 @@ def _table_step(
     divisor: float,
 ) -> dict[int, float]:
     """`_step` with every factor read from `_tables`: the same floats, the
-    same merge order."""
+    same merge order.  Spin 3/2 pads a fourth move that never fires."""
+    if len(tabled) == 3:
+        tabled += ((tabled[0][0], 2 * pair_mask.bit_length(), 0),)
+    (t0, _, d0), (t1, s1, d1), (t2, s2, d2), (t3, s3, d3) = tabled
     out: dict[int, float] = {}
-    for key, raw in terms.items():
-        amp = raw / divisor
-        for table, src, delta in tabled:
-            factor = table[key >> src & pair_mask]
-            if factor:
-                moved = key + delta
-                out[moved] = out.get(moved, 0.0) + amp * factor
+    get = out.get
+    for key, amp in zip(terms, map(truediv, terms.values(), repeat(divisor))):
+        if factor := t0[key & pair_mask]:
+            moved = key + d0
+            out[moved] = get(moved, 0.0) + amp * factor
+        if factor := t1[key >> s1 & pair_mask]:
+            moved = key + d1
+            out[moved] = get(moved, 0.0) + amp * factor
+        if factor := t2[key >> s2 & pair_mask]:
+            moved = key + d2
+            out[moved] = get(moved, 0.0) + amp * factor
+        if factor := t3[key >> s3]:  # the top level pair: no bits above it
+            moved = key + d3
+            out[moved] = get(moved, 0.0) + amp * factor
     return out
 
 
-def _unpack(key: int, width: int, n_levels: int) -> OccupationVector:
-    mask = (1 << width) - 1
-    return tuple(key >> width * i & mask for i in range(n_levels))
+def _pack(vectors: list, n: int, n_levels: int) -> list[int]:
+    """The packed keys of `vectors`, built one level (column) at a time;
+    raises DomainError naming the first that is not an occupation vector."""
+    lengths, totals = {*map(len, vectors)} - {n_levels}, {*map(sum, vectors)} - {n}
+    if lengths or totals or min(map(min, vectors), default=0) < 0:  # name the first
+        bad = (v for v in vectors if len(v) != n_levels or min(v) < 0 or sum(v) != n)
+        raise DomainError(f"{next(bad)} is not an occupation vector of {n} particles")
+    keys, width = repeat(0, len(vectors)), n.bit_length()
+    for shift, column in zip(range(0, width * n_levels, width), zip(*vectors)):
+        keys = map(add, keys, map(lshift, column, repeat(shift)))
+    return list(keys)
+
+
+def _unpack(keys: Iterable[int], width: int, n_levels: int) -> list[OccupationVector]:
+    """The occupation vectors of packed `keys`, one level (column) at a
+    time, so `keys` (a list or a dict) is read once per level."""
+    mask, top = (1 << width) - 1, width * (n_levels - 1)
+    shifts = range(0, top, width)
+    columns = [map(and_, map(rshift, keys, repeat(i)), repeat(mask)) for i in shifts]
+    return list(zip(*columns, map(rshift, keys, repeat(top))))
 
 
 def _packed_step(x: DickeExpansion | RawExpansion, lowering: bool) -> dict[int, float]:
     """J- or J+ applied to `x` on packed keys, after checking that every
     key is an occupation vector of x's N particles."""
     species, n = x.species, x.n_particles
+    items = x.terms.items() if isinstance(x.terms, dict) else x.terms
+    keys = _pack(list(map(itemgetter(0), items)), n, species.n_levels)
+    packed = dict(zip(keys, map(itemgetter(1), items)))
     width = n.bit_length()
-    shifts = range(0, width * species.n_levels, width)
-    packed: dict[int, float] = {}
-    for occ, amp in x.terms.items() if isinstance(x.terms, dict) else x.terms:
-        if len(occ) != species.n_levels or min(occ) < 0 or sum(occ) != n:
-            raise DomainError(f"{occ} is not an occupation vector of {n} particles")
-        packed[sum(map(lshift, occ, shifts))] = amp
     return _step(packed, _moves(species, width, lowering), (1 << width) - 1)
 
 
 def _apply(x: DickeExpansion | RawExpansion, lowering: bool) -> RawExpansion:
     species, n = x.species, x.n_particles
-    width = n.bit_length()
     out = _packed_step(x, lowering)
-    return RawExpansion(
-        species, n, {_unpack(k, width, species.n_levels): a for k, a in out.items()}
-    )
+    vectors = _unpack(out, n.bit_length(), species.n_levels)
+    return RawExpansion(species, n, dict(zip(vectors, out.values())))
 
 
 def apply_lowering(x: DickeExpansion | RawExpansion) -> RawExpansion:
@@ -251,14 +277,13 @@ def _finish(
     """|J, M> from one state of `_chain`: divided, normalized, with the
     amplitudes below PRUNE_THRESHOLD dropped, in descending lexicographic
     order as `enumerate_basis` gives it."""
-    width = n_particles.bit_length()
-    terms = {key: value / divisor for key, value in raw.items()}
-    norm = sqrt(sum(a * a for a in terms.values()))
-    cleaned = sorted(
-        (_unpack(key, width, species.n_levels), amp / norm)
-        for key, amp in terms.items()
-        if abs(amp / norm) > PRUNE_THRESHOLD
-    )
+    terms = list(map(truediv, raw.values(), repeat(divisor)))
+    norm = sqrt(sum(map(mul, terms, terms)))
+    amps = list(map(truediv, terms, repeat(norm)))
+    kept = list(map(PRUNE_THRESHOLD.__lt__, map(abs, amps)))
+    keys = list(compress(raw, kept))
+    vectors = _unpack(keys, n_particles.bit_length(), species.n_levels)
+    cleaned = sorted(zip(vectors, compress(amps, kept)))
     cleaned.reverse()
     return DickeExpansion(species, n_particles, twice_m, tuple(cleaned))
 
@@ -318,8 +343,7 @@ def oracle_squares_exact(
         phi = nxt
     level_weights = tuple(accumulate((f2 for f2, *_ in moves), mul, initial=1))
     squares = {}
-    for key, c in phi.items():
-        occ = _unpack(key, width, species.n_levels)
+    for occ, c in zip(_unpack(phi, width, species.n_levels), phi.values()):
         square = c * c
         for weight, count in zip(level_weights, occ):
             square *= weight**count * factorial(count)

@@ -18,6 +18,7 @@ from dicke import (
     parametric_basis,
     parametric_count,
 )
+from dicke.basis import lowering_depth_sizes
 
 
 def test_spin1_n10_m5():
@@ -307,12 +308,26 @@ def test_spin_half_and_spin_one_sizes_are_closed_forms():
             basis_size(SPIN_HALF, n, 0),
             basis_size(SPIN_HALF, n, 0, chain=True),
             basis_size(SPIN_HALF, n, -n, chain=True),
+            basis_size(SPIN_ONE, n, 0, chain=True),
+            basis_size(SPIN_ONE, n, -2 * n, chain=True),
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sizes == (50_000_001, 2, 1, 50_000_001, n + 1)
+    # the whole spin-1 chain holds every vector once: C(N + 2, 2)
+    full = (n + 2) * (n + 1) // 2
+    assert sizes == (50_000_001, 2, 1, 50_000_001, n + 1, 2_500_000_100_000_001, full)
     assert peak < 2**20
+
+
+def test_spin_one_chain_count_sums_the_depth_table():
+    """The closed-form spin-1 chain count, on both sides of depth N and at
+    odd and even N, against the summed Gaussian-binomial table."""
+    for n in (*range(1, 40), 64, 101):
+        for twice_m in range(-2 * n, 2 * n + 1, 2):
+            depth = n - twice_m // 2
+            table = sum(lowering_depth_sizes(SPIN_ONE, n, depth))
+            assert basis_size(SPIN_ONE, n, twice_m, chain=True) == table
 
 
 #: sha256 of every basis of every species, N <= 12 and every M, in order

@@ -253,11 +253,14 @@ def test_oracle_deviation_covers_the_terms_the_oracle_prunes(capsys):
     assert float(err.rsplit(":", 1)[1]) < 1e-13
 
 
-#: sha256 of the .17g CSV each oracle command prints; both chains are long
-#: enough to switch to the factor tables, which must not move a bit
+#: sha256 of the .17g CSV each oracle command prints; the spin-3/2 and
+#: spin-2 chains are long enough to switch to the factor tables, which must
+#: not move a bit, and the spin-1 chain walks 400 steps without them
 ORACLE_DIGESTS = {
     ("2", "40", "0"): "c6f4d65811f3c8c3a046dbd63a0dfc6ebca6c836b159666532e4510cd5c4a2cb",
     ("3/2", "40", "1"): "2f3498630b39505418ae6b9509e0bbf2da218fec0e197298708d96c6a2967ae5",
+    ("2", "60", "0"): "09100d82e7052832a5aa5cfa6af21c46f0fd283b7880ea546bea2982a5db04e0",
+    ("1", "400", "-9"): "7808456957d2d3c0cc928a3cf39910682d32967f7433699c65abbcbcf9341864",
 }
 
 

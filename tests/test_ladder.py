@@ -29,6 +29,7 @@ from dicke.ladder import (
     _finish,
     _lowering_steps,
     _moves,
+    _pack,
     _tables,
     _unpack,
     oracle_squares_exact,
@@ -238,7 +239,7 @@ def _fraction_walk(species, n, twice_m):
                         nxt.get(moved, Fraction(0)), contrib
                     )
         squares = nxt
-    return {_unpack(k, width, species.n_levels): q for k, q in squares.items()}
+    return dict(zip(_unpack(squares, width, species.n_levels), squares.values()))
 
 
 def test_integer_exact_mode_equals_the_fraction_walk():
@@ -258,11 +259,38 @@ def test_exact_mode_squares_sum_to_one():
 
 
 def test_walks_reject_vectors_that_are_not_occupations():
-    for occ in ((2, 1, 2), (4, 0), (5, 0, -1)):
-        with pytest.raises(DomainError):
-            apply_lowering(RawExpansion(SPIN_ONE, 4, {occ: 1.0}))
-        with pytest.raises(DomainError):
-            apply_raising(RawExpansion(SPIN_ONE, 4, {occ: 1.0}))
+    """Valid vectors with empty levels come first and a second bad vector
+    follows, so the error must name the first offender and no other."""
+    valid = [(4, 0, 0), (2, 2, 0), (0, 0, 4)]
+    for bad in ((2, 1, 2), (4, 0), (5, 0, -1), (4, 0, 0, 0), (3, 0, 0)):
+        for later in ((1, 1, 1), (3, 1), (6, -1, -1)):
+            terms = dict.fromkeys([*valid, bad, later], 1.0)
+            for x in (
+                RawExpansion(SPIN_ONE, 4, terms),
+                DickeExpansion(SPIN_ONE, 4, 0, tuple(terms.items())),
+            ):
+                for walk in (apply_lowering, apply_raising):
+                    with pytest.raises(DomainError) as raised:
+                        walk(x)
+                    assert str(raised.value) == (
+                        f"{bad} is not an occupation vector of 4 particles"
+                    )
+
+
+def test_whole_state_codec_round_trips_every_basis():
+    """Full top levels (N = 2^k - 1) fill every bit of the unmasked top
+    column; N = 2^k leaves one bit per level spare."""
+    for species in ALL_SPECIES:
+        for n in (1, 3, 7, 8, 15):
+            width, levels = n.bit_length(), species.n_levels
+            tj = species.twice_spin * n
+            for tm in range(-tj, tj + 1, 2):
+                basis = enumerate_basis(species, n, tm)
+                keys = _pack(basis, n, levels)
+                assert keys == [
+                    sum(c << width * i for i, c in enumerate(occ)) for occ in basis
+                ]
+                assert _unpack(keys, width, levels) == basis
 
 
 def test_every_table_entry_is_its_ladder_factor():
